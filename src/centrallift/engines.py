@@ -414,8 +414,9 @@ def todd_coxeter(presentation: "Presentation", max_cosets: int = 50000) -> Permu
     return engine
 
 
-def subgroup_closure(engine: GroupEngine, seeds: Iterable[Element]) -> tuple[Element, ...]:
-    """Smallest subgroup containing the seeds, sorted by element index."""
+def _closure_indices(engine: GroupEngine, seeds: Iterable[Element], limit: int) -> list[int]:
+    # BFS over right multiplication by the seeds; stops early once the
+    # closure has more than `limit` elements
     seed_indices = sorted({engine.check(s) for s in seeds})
     seen = {0}
     frontier = [0]
@@ -424,7 +425,7 @@ def subgroup_closure(engine: GroupEngine, seeds: Iterable[Element]) -> tuple[Ele
             seen.add(s)
             frontier.append(s)
     pos = 0
-    while pos < len(frontier):
+    while pos < len(frontier) and len(frontier) <= limit:
         cur = frontier[pos]
         for s in seed_indices:
             nxt = engine._mult_index(cur, s)
@@ -432,7 +433,23 @@ def subgroup_closure(engine: GroupEngine, seeds: Iterable[Element]) -> tuple[Ele
                 seen.add(nxt)
                 frontier.append(nxt)
         pos += 1
-    return tuple(Element(engine, i) for i in sorted(seen))
+    return frontier
+
+
+def subgroup_closure(engine: GroupEngine, seeds: Iterable[Element]) -> tuple[Element, ...]:
+    """Smallest subgroup containing the seeds, sorted by element index."""
+    found = _closure_indices(engine, seeds, engine.order())
+    return tuple(Element(engine, i) for i in sorted(found))
+
+
+def generates(engine: GroupEngine, seeds: Iterable[Element]) -> bool:
+    """True iff the seeds generate the whole engine.
+
+    Stops as soon as the closure has more than half the elements: by
+    Lagrange a subgroup that large is the whole group.
+    """
+    half = engine.order() // 2
+    return len(_closure_indices(engine, seeds, half)) > half
 
 
 def element_order(engine: GroupEngine, h: Element) -> int:

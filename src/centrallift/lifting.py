@@ -208,8 +208,7 @@ def is_automorphism(problem: LiftProblem, psi: Endomorphism) -> bool:
     engine = problem.engine
     z_images = [evaluate(w, psi.images, engine) for w in problem.central.z_words]
     preserves_n = engines.subgroup_closure(engine, z_images) == problem.n_elements
-    image = engines.subgroup_closure(engine, psi.images)
-    surjective = len(image) == engine.order()
+    surjective = engines.generates(engine, psi.images)
     if preserves_n != surjective:
         raise CriterionMismatch(
             f"psi(N)=N is {preserves_n} but surjectivity is {surjective}"

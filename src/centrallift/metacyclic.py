@@ -34,17 +34,6 @@ def _require(condition: bool, message: str) -> None:
         raise VerificationFailed(message)
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _multiplicative_order(a: int, m: int) -> int:
     if m == 1:
         return 1
@@ -77,7 +66,7 @@ class CaseStudyConfig:
     order_budget: int = 200  # bound on |Aut(G)| = (p-1)*p^n
 
     def __post_init__(self):
-        if not _is_prime(self.p) or self.p == 2:
+        if self.p < 3 or lifting._smallest_prime_factor(self.p) != self.p:
             raise ValueError("p must be an odd prime")
         if self.n < 4:
             raise ValueError("n must be >= 4")
@@ -205,8 +194,6 @@ def build_aut_A(
     for a in sorted(roots_small | roots_big):
         a_candidates.append((a, a in roots_small, a in roots_big))
 
-    target_order = cfg.aut_order
-
     def solve_exponent(x3: Element, conj: Element, base: Element, exp: int):
         # conj * x3^(exp_j * small) == base^exp for some exp_j in [0, p)
         want = seed.power(base, exp)
@@ -245,10 +232,7 @@ def build_aut_A(
                     )
                     if comm != comm_target:
                         continue
-                    if (
-                        len(engines.subgroup_closure(seed, (x1, x2, x3)))
-                        != target_order
-                    ):
+                    if not engines.generates(seed, (x1, x2, x3)):
                         continue
                     final = PermutationEngine(
                         [seed.perm(x1), seed.perm(x2), seed.perm(x3)], maps
@@ -296,7 +280,7 @@ def _verify_params(cfg: CaseStudyConfig, engine: PermutationEngine, params: AutP
             "a fitted presentation relator does not hold",
         )
     _require(
-        len(engines.subgroup_closure(engine, triple)) == engine.order(),
+        engines.generates(engine, triple),
         "fitted triple does not generate Aut(G)",
     )
     modulus = cfg.p ** (cfg.n - 2) if params.a_is_proot_mod_pn2 else cfg.p ** (cfg.n - 1)

@@ -106,21 +106,19 @@ def bf_hom_lifts(problem: LiftProblem, budget: int = DEFAULT_LIFT_BUDGET) -> lis
 def bf_aut_lifts(problem: LiftProblem, budget: int = DEFAULT_LIFT_BUDGET) -> list[Endomorphism]:
     """Homomorphic lifts whose images generate G (hence bijective)."""
     engine = problem.engine
-    order = engine.order()
     return [
         endo
         for endo in bf_hom_lifts(problem, budget)
-        if len(engines.subgroup_closure(engine, endo.images)) == order
+        if engines.generates(engine, endo.images)
     ]
 
 
 @dataclass(frozen=True)
 class AutGroupTable:
-    """The automorphism group: endomorphisms plus a composition index table."""
+    """The automorphism group: endomorphisms plus their maps on element indices."""
 
     automorphisms: tuple[Endomorphism, ...]
-    table: tuple[tuple[int, ...], ...]  # table[i][j] = index of (apply i, then j)
-    maps: tuple[tuple[int, ...], ...] = field(repr=False, default=())
+    maps: tuple[tuple[int, ...], ...] = field(repr=False)
 
     @property
     def order(self) -> int:
@@ -170,18 +168,13 @@ def bf_automorphism_group(
     depth_order = _greedy_depth_order(pres, candidates)
 
     def generates(images) -> bool:
-        return len(engines.subgroup_closure(engine, images)) == order
+        return engines.generates(engine, images)
 
     auts = _search_image_tuples(pres, engine, candidates, depth_order, generates)
-
-    maps = [engines.map_images(engine, endo.images) for endo in auts]
-    index = {m: i for i, m in enumerate(maps)}
-    if len(index) != len(maps):
+    maps = tuple(engines.map_images(engine, endo.images) for endo in auts)
+    if len(set(maps)) != len(maps):
         raise AssertionError("distinct automorphisms with identical maps")
-    table = tuple(
-        tuple(index[tuple(mb[x] for x in ma)] for mb in maps) for ma in maps
-    )
-    return AutGroupTable(tuple(auts), table, tuple(maps))
+    return AutGroupTable(tuple(auts), maps)
 
 
 def bf_quotient_auts(

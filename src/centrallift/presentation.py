@@ -224,7 +224,6 @@ def check_quotient_aut_on(
     for word in engines.subgroup_generator_words(engine, n_elements):
         if evaluate(word, images, quotient) != quotient.identity():
             raise NotHomomorphism(None)
-    generated = engines.subgroup_closure(quotient, images)
-    if len(generated) != quotient.order():
+    if not engines.generates(quotient, images):
         raise NotSurjective("images generate a proper subgroup of the quotient")
     return reps

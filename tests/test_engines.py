@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -13,6 +14,7 @@ from centrallift.engines import (
     NotSubgroup,
     central_log,
     element_order,
+    generates,
     is_central,
     quotient_engine,
     subgroup_closure,
@@ -105,6 +107,44 @@ def test_subgroup_closure_examples():
     _, _, meta, _ = corpus.build(corpus.METACYCLIC34)
     cube = meta.power(meta.generator(0), 3)
     assert len(subgroup_closure(meta, {cube})) == 9
+
+
+S3 = "generators: x y\nrelator: x^3\nrelator: y^2\nrelator: x*y*x*y"
+
+
+def test_generates_matches_subgroup_closure():
+    s3 = todd_coxeter(parse_presentation(S3), 100)
+    for engine in [corpus.build(text)[2] for _, text in corpus.CORPUS] + [s3]:
+        elements = engine.elements()
+        for a, b in itertools.combinations_with_replacement(elements, 2):
+            for seeds in ((a,), (a, b)):
+                expected = len(subgroup_closure(engine, seeds)) == engine.order()
+                assert generates(engine, seeds) == expected
+
+
+def test_generates_index_two_boundary():
+    # subgroups of exactly half the order must not count as the whole group
+    s3 = todd_coxeter(parse_presentation(S3), 100)
+    x = s3.generator(0)
+    assert len(subgroup_closure(s3, (x,))) == 3
+    assert not generates(s3, (x,))
+    assert generates(s3, (x, s3.generator(1)))
+    _, _, c4, _ = corpus.build(corpus.C4)
+    sq = c4.power(c4.generator(0), 2)
+    assert len(subgroup_closure(c4, (sq,))) == 2
+    assert not generates(c4, (sq,))
+    assert generates(c4, (c4.generator(0),))
+
+
+def test_generates_empty_and_identity_seeds():
+    _, _, c4, _ = corpus.build(corpus.C4)
+    assert not generates(c4, ())
+    assert not generates(c4, (c4.identity(),))
+    assert generates(c4, (c4.identity(), c4.generator(0)))
+    trivial = todd_coxeter(parse_presentation("generators: x\nrelator: x"), 10)
+    assert trivial.order() == 1
+    assert generates(trivial, ())
+    assert generates(trivial, (trivial.identity(),))
 
 
 def test_element_order():

@@ -6,10 +6,9 @@ from centrallift.words import evaluate, format_word
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="odd prime"):
-        CaseStudyConfig(2, 4)
-    with pytest.raises(ValueError, match="odd prime"):
-        CaseStudyConfig(9, 4)
+    for p in (1, 2, 4, 9):
+        with pytest.raises(ValueError, match="odd prime"):
+            CaseStudyConfig(p, 4)
     with pytest.raises(ValueError, match="n must be"):
         CaseStudyConfig(3, 3)
     with pytest.raises(ValueError, match="budget"):

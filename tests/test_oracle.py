@@ -78,20 +78,20 @@ def test_aut_table_is_a_group():
     pres, _, engine, _ = corpus.build(corpus.Q8)
     table = oracle.bf_automorphism_group(pres, engine)
     assert table.order == 24
-    n = table.order
+    maps = set(table.maps)
+    assert len(maps) == 24
     # identity present
-    identity_map = tuple(range(engine.order()))
-    idx = table.maps.index(identity_map)
-    assert all(table.table[idx][j] == j for j in range(n))
-    # closure and inverses
-    seen_inverse = set()
-    for i in range(n):
-        row = set(table.table[i])
-        assert row == set(range(n))
-        for j in range(n):
-            if table.table[i][j] == idx:
-                seen_inverse.add(i)
-    assert seen_inverse == set(range(n))
+    assert tuple(range(engine.order())) in maps
+    # closure under composition (apply a, then b)
+    for a in maps:
+        for b in maps:
+            assert tuple(b[x] for x in a) in maps
+    # inverses
+    for a in maps:
+        inverse = [0] * len(a)
+        for x, y in enumerate(a):
+            inverse[y] = x
+        assert tuple(inverse) in maps
 
 
 def test_bf_quotient_auts_counts():
