@@ -50,8 +50,11 @@ def _emit(payload: dict, fmt: str, out: str | None) -> None:
     else:
         text = _render_text(payload) + "\n"
     if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write {out}: {exc}") from None
     else:
         sys.stdout.write(text)
 

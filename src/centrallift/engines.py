@@ -227,13 +227,6 @@ class PermutationEngine(GroupEngine):
             self._inv[i] = inv
         return inv
 
-    def dump(self) -> dict:
-        """JSON-friendly snapshot: degree plus generator permutations."""
-        return {
-            "degree": self.degree,
-            "generators": [list(p) for p in self._gen_perms],
-        }
-
     # Cayley-graph BFS tree rooted at the identity; edge alphabet is
     # (gen 0, +1), (gen 0, -1), (gen 1, +1), ... which also fixes the
     # lexicographic order used for shortest words.
@@ -471,24 +464,6 @@ def is_central(engine: GroupEngine, h: Element) -> bool:
         if engine._mult_index(hi, gi) != engine._mult_index(gi, hi):
             return False
     return True
-
-
-def central_log(
-    engine: GroupEngine, h: Element, z_gens: Sequence[Element]
-) -> tuple[int, ...]:
-    """Exponents of h over the central generators.
-
-    Returns the lexicographically least tuple (a_1..a_t) with
-    0 <= a_j < order(z_j) and z_1^a_1 * ... * z_t^a_t = h.
-    """
-    table = central_log_table(engine, z_gens)
-    hi = engine.check(h)
-    try:
-        return table[hi]
-    except KeyError:
-        raise NotInSubgroup(
-            "element is not a product of the given central generators"
-        ) from None
 
 
 def central_log_table(

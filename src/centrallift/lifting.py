@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 from . import engines, modlinalg
 from .engines import Element, GroupEngine
@@ -168,19 +168,23 @@ def build_exponent_matrix(pres: Presentation) -> IntMatrix:
     return IntMatrix.from_rows(rows)
 
 
+def _residue_of_word(problem: LiftProblem, log_table, word: FreeWord, index: int):
+    """(w_1..w_t) with word(xbar) = prod_j z_j^(-w_j); index names the word
+    in the ResidueOutsideN raised when the value is not in N."""
+    exps = log_table.get(evaluate(word, problem.xbar, problem.engine).index)
+    if exps is None:
+        raise ResidueOutsideN(index)
+    return tuple((-e) % o for e, o in zip(exps, problem.z_orders))
+
+
 def build_residue_vector(problem: LiftProblem) -> list[tuple[int, ...]]:
     """Per-z-generator residues: r_k(xbar) = prod_j z_j^(-w[j][k])."""
     log_table = engines.central_log_table(problem.engine, problem.z_elements)
-    t = len(problem.z_elements)
-    per_block: list[list[int]] = [[] for _ in range(t)]
-    for k, rel in enumerate(problem.pres.relators):
-        value = evaluate(rel, problem.xbar, problem.engine)
-        exps = log_table.get(value.index)
-        if exps is None:
-            raise ResidueOutsideN(k)
-        for j in range(t):
-            per_block[j].append((-exps[j]) % problem.z_orders[j])
-    return [tuple(block) for block in per_block]
+    per_relator = [
+        _residue_of_word(problem, log_table, rel, k)
+        for k, rel in enumerate(problem.pres.relators)
+    ]
+    return [tuple(r[j] for r in per_relator) for j in range(len(problem.z_elements))]
 
 
 def materialize(problem: LiftProblem, v_blocks) -> Endomorphism:
@@ -233,10 +237,7 @@ def solve_hom_lifts(problem: LiftProblem) -> LiftReport:
     matrix = build_exponent_matrix(problem.pres)
     residues = tuple(build_residue_vector(problem))
     sets = _solve_blocks(matrix, residues, problem.z_orders)
-    count = 1
-    for s in sets:
-        count *= s.count
-    count = int(count) if count else 0
+    count = prod(s.count for s in sets)
     target = LiftTarget("hom", residues, sets, count)
     lifts: list[Lift] = []
     if all(s.solvable for s in sets):
@@ -289,14 +290,6 @@ def _units(m: int) -> list[int]:
     return [c for c in range(m) if gcd(c, m) == 1]
 
 
-def _residue_of_word(problem: LiftProblem, log_table, word: FreeWord, at) -> tuple[int, ...]:
-    value = evaluate(word, at, problem.engine)
-    exps = log_table.get(value.index)
-    if exps is None:
-        raise ResidueOutsideN(-1)
-    return tuple((-e) % o for e, o in zip(exps, problem.z_orders))
-
-
 def solve_aut_lifts(problem: LiftProblem) -> LiftReport:
     """All automorphic lifts of phi.
 
@@ -322,10 +315,7 @@ def solve_aut_lifts(problem: LiftProblem) -> LiftReport:
         list(exponent_vector(w, problem.pres.n)) for w in problem.central.z_words
     ]
     # f_i at the representatives: f_i(xbar) = prod_j z_j^(-u[i][j])
-    u = [
-        _residue_of_word(problem, log_table, w, problem.xbar)
-        for w in problem.central.z_words
-    ]
+    u = [_residue_of_word(problem, log_table, w, -1) for w in problem.central.z_words]
 
     targets: list[LiftTarget] = []
     lifts: list[Lift] = []
@@ -333,10 +323,7 @@ def solve_aut_lifts(problem: LiftProblem) -> LiftReport:
 
     def run_target(label: str, extended: IntMatrix, rhs_blocks) -> None:
         sets = _solve_blocks(extended, rhs_blocks, orders)
-        count = 1
-        for s in sets:
-            count *= s.count
-        count = int(count) if count else 0
+        count = prod(s.count for s in sets)
         targets.append(LiftTarget(label, tuple(tuple(r) for r in rhs_blocks), sets, count))
         if not all(s.solvable for s in sets):
             return
@@ -429,18 +416,6 @@ def squarefree_existence(problem: LiftProblem) -> bool:
     return all(s.solvable for s in sets)
 
 
-def infinite_cyclic_aut_targets(
-    matrix: IntMatrix, f_row, w, w_f: int
-) -> list[LinearSystem]:
-    """The two integer systems whose solutions are automorphic lifts when
-    N is infinite cyclic: the image of z must be z or z^-1."""
-    extended = matrix.stack_rows([list(f_row)])
-    return [
-        LinearSystem(extended, tuple(w) + (w_f + 1,), 0),
-        LinearSystem(extended, tuple(w) + (w_f - 1,), 0),
-    ]
-
-
 def report_to_dict(problem: LiftProblem, report: LiftReport) -> dict:
     """JSON-ready form of a lift report (deterministic for fixed inputs)."""
     names = problem.pres.names
@@ -454,7 +429,7 @@ def report_to_dict(problem: LiftProblem, report: LiftReport) -> dict:
     def solset(s: SolutionSet) -> dict:
         return {
             "solvable": s.solvable,
-            "count": "INFINITE" if s.count == modlinalg.INFINITE else str(int(s.count)),
+            "count": str(s.count),
             "particular": modlinalg.vector_to_strings(s.particular),
             "kernel": [
                 {"vector": modlinalg.vector_to_strings(v), "period": str(p)}

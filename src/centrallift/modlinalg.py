@@ -1,9 +1,8 @@
 """Exact linear algebra over Z and Z/m.
 
-Smith normal form with unimodular transforms, and complete solution sets
-of M*v = w modulo m.  Modulus 0 means "over the integers", which serves
-infinite cyclic targets through the same code path.  All arithmetic is on
-Python ints, so relator exponents like p^(n-1) never overflow.
+Smith normal form over the integers with unimodular transforms, and
+complete solution sets of M*v = w modulo a positive m.  All arithmetic is
+on Python ints, so relator exponents like p^(n-1) never overflow.
 """
 
 from __future__ import annotations
@@ -12,13 +11,6 @@ import itertools
 from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
-
-INFINITE = float("inf")
-
-
-class InfiniteSolutionSet(ValueError):
-    """Exhaustive enumeration was requested for an infinite solution set."""
-
 
 @dataclass(frozen=True)
 class IntMatrix:
@@ -85,32 +77,6 @@ class IntMatrix:
             rows.append(list(r))
         return IntMatrix.from_rows(rows) if rows else IntMatrix(0, self.cols, ())
 
-    def det(self) -> int:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = self.to_rows()
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k]:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
-
 
 @dataclass(frozen=True)
 class SmithDecomposition:
@@ -127,7 +93,7 @@ class SmithDecomposition:
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """M*v = w modulo `modulus`; modulus 0 solves over the integers."""
+    """M*v = w modulo a positive `modulus`."""
 
     matrix: IntMatrix
     rhs: tuple[int, ...]
@@ -136,8 +102,8 @@ class LinearSystem:
     def __post_init__(self):
         if len(self.rhs) != self.matrix.rows:
             raise ValueError("right-hand side length must match the row count")
-        if self.modulus < 0:
-            raise ValueError("modulus must be non-negative")
+        if self.modulus < 1:
+            raise ValueError("modulus must be positive")
 
 
 @dataclass(frozen=True)
@@ -145,14 +111,13 @@ class SolutionSet:
     """All solutions of a linear system.
 
     kernel_basis pairs a vector with its period: multiples 0..period-1
-    of the vector shift the particular solution to distinct solutions
-    (period 0 means all integer multiples are distinct).
+    of the vector shift the particular solution to distinct solutions.
     """
 
     solvable: bool
     particular: tuple[int, ...]
     kernel_basis: tuple[tuple[tuple[int, ...], int], ...]
-    count: int | float
+    count: int
     modulus: int
 
 
@@ -274,51 +239,31 @@ def solve(system: LinearSystem) -> SolutionSet:
     diag = [dec.D.get(i, i) for i in range(dec.rank)]
 
     y = [0] * cols
-    kernel_y: list[tuple[int, int]] = []  # (pivot column, step) plus free columns
-    count: int | float = 1
+    steps = []  # (column of V, step, period): pivot columns, then free ones
+    count = 1
+    for i, d in enumerate(diag):
+        g = gcd(d, mod)
+        if c[i] % g:
+            return _unsolvable(cols, mod)
+        mg = mod // g
+        y[i] = ((c[i] // g) * pow((d // g) % mg, -1, mg)) % mg if mg > 1 else 0
+        if g > 1:
+            steps.append((i, mg, g))
+            count *= g
+    for i in range(dec.rank, rows):
+        if c[i] % mod:
+            return _unsolvable(cols, mod)
+    for j in range(dec.rank, cols):
+        if mod > 1:
+            steps.append((j, 1, mod))
+            count *= mod
 
-    if mod == 0:
-        for i, d in enumerate(diag):
-            if c[i] % d:
-                return _unsolvable(cols, mod)
-            y[i] = c[i] // d
-        for i in range(dec.rank, rows):
-            if c[i]:
-                return _unsolvable(cols, mod)
-        steps = []
-        for j in range(dec.rank, cols):
-            steps.append((j, 1, 0))  # step 1, period 0 = infinite
-        if steps:
-            count = INFINITE
-    else:
-        steps = []
-        for i, d in enumerate(diag):
-            g = gcd(d, mod)
-            if c[i] % g:
-                return _unsolvable(cols, mod)
-            mg = mod // g
-            y[i] = ((c[i] // g) * pow((d // g) % mg, -1, mg)) % mg if mg > 1 else 0
-            if g > 1:
-                steps.append((i, mg, g))
-                count *= g
-        for i in range(dec.rank, rows):
-            if c[i] % mod:
-                return _unsolvable(cols, mod)
-        for j in range(dec.rank, cols):
-            if mod > 1:
-                steps.append((j, 1, mod))
-                count *= mod
-
-    particular = list(dec.V.mulvec(y))
-    if mod:
-        particular = [x % mod for x in particular]
-    kernel = []
-    for col, step, period in steps:
-        vec = [step * dec.V.get(r, col) for r in range(cols)]
-        if mod:
-            vec = [x % mod for x in vec]
-        kernel.append((tuple(vec), period))
-    return SolutionSet(True, tuple(particular), tuple(kernel), count, mod)
+    particular = tuple(x % mod for x in dec.V.mulvec(y))
+    kernel = tuple(
+        (tuple(step * dec.V.get(r, col) % mod for r in range(cols)), period)
+        for col, step, period in steps
+    )
+    return SolutionSet(True, particular, kernel, count, mod)
 
 
 def _combination(sol: SolutionSet, coeffs: Sequence[int]) -> tuple[int, ...]:
@@ -327,54 +272,17 @@ def _combination(sol: SolutionSet, coeffs: Sequence[int]) -> tuple[int, ...]:
         if c:
             for k, b in enumerate(basis):
                 vec[k] += c * b
-    if sol.modulus:
-        vec = [x % sol.modulus for x in vec]
-    return tuple(vec)
+    return tuple(x % sol.modulus for x in vec)
 
 
-def enumerate_solutions(sol: SolutionSet, cap: int | None = None) -> list[tuple[int, ...]]:
-    """Distinct solutions, lexicographically ordered, up to cap.
-
-    cap=None asks for the full list and raises InfiniteSolutionSet when
-    the set is infinite; a finite cap on an infinite set walks kernel
-    coefficients in growing max-norm shells (deterministic order).
-    """
-    if cap is not None and cap < 0:
-        raise ValueError("cap must be >= 0")
-    if not sol.solvable or cap == 0:
+def enumerate_solutions(sol: SolutionSet) -> list[tuple[int, ...]]:
+    """All distinct solutions, lexicographically ordered."""
+    if not sol.solvable:
         return []
-    if sol.count is INFINITE or sol.count == INFINITE:
-        if cap is None:
-            raise InfiniteSolutionSet("solution set is infinite; pass a cap")
-        found: list[tuple[int, ...]] = []
-        seen = set()
-        ranges = [p for _, p in sol.kernel_basis]
-        shell = 0
-        while len(found) < cap:
-            batch = []
-            for coeffs in itertools.product(
-                *(
-                    range(p) if p else range(-shell, shell + 1)
-                    for p in ranges
-                )
-            ):
-                infinite_coeffs = [c for c, (_, p) in zip(coeffs, sol.kernel_basis) if p == 0]
-                if max((abs(c) for c in infinite_coeffs), default=0) != shell:
-                    continue
-                batch.append(_combination(sol, coeffs))
-            for vec in sorted(batch):
-                if vec not in seen:
-                    seen.add(vec)
-                    found.append(vec)
-                    if len(found) == cap:
-                        break
-            shell += 1
-        return found
-    vectors = sorted(
+    return sorted(
         _combination(sol, coeffs)
         for coeffs in itertools.product(*(range(p) for _, p in sol.kernel_basis))
     )
-    return vectors if cap is None else vectors[:cap]
 
 
 def matrix_to_strings(matrix: IntMatrix) -> list[list[str]]:

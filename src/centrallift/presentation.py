@@ -170,10 +170,6 @@ def parse_quotient_aut(text: str, pres: Presentation) -> QuotientAutSpec:
     return QuotientAutSpec(tuple(words))
 
 
-def format_quotient_aut(spec: QuotientAutSpec, pres: Presentation) -> str:
-    return "\n".join("image: " + format_word(w, pres.names) for w in spec.rep_words) + "\n"
-
-
 def validate_central(
     spec: CentralSubgroupSpec, pres: Presentation, engine: engines.GroupEngine
 ) -> None:
@@ -187,17 +183,6 @@ def validate_central(
             )
 
 
-def validate_quotient_aut(
-    spec: QuotientAutSpec,
-    pres: Presentation,
-    engine: engines.GroupEngine,
-    n_elements,
-) -> None:
-    """Check that the representatives induce an automorphism of G/N."""
-    quotient = engines.quotient_engine(engine, n_elements)
-    check_quotient_aut_on(spec, pres, engine, quotient, n_elements)
-
-
 def check_quotient_aut_on(
     spec: QuotientAutSpec,
     pres: Presentation,
@@ -205,7 +190,8 @@ def check_quotient_aut_on(
     quotient: engines.QuotientEngine,
     n_elements,
 ) -> list[engines.Element]:
-    """validate_quotient_aut against a prebuilt quotient; returns the reps in G.
+    """Check that the representatives induce an automorphism of G/N, given
+    the quotient engine of G by N; returns the representatives' values in G.
 
     The induced map is an endomorphism of G/N iff every presentation
     relator vanishes at the projected images *and* the images annihilate

@@ -75,17 +75,6 @@ def concat(u: FreeWord, v: FreeWord) -> FreeWord:
     return reduce(u.letters + v.letters)
 
 
-def power(word: FreeWord, k: int) -> FreeWord:
-    """k-th power of a word (k may be negative or zero)."""
-    if k == 0:
-        return IDENTITY
-    base = word if k > 0 else inverse(word)
-    out = base
-    for _ in range(abs(k) - 1):
-        out = concat(out, base)
-    return out
-
-
 def exponent_vector(word: FreeWord, n: int) -> tuple[int, ...]:
     """Signed exponent sum of each of the n generators (commutative image)."""
     sums = [0] * n

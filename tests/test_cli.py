@@ -83,6 +83,15 @@ def test_missing_file_exit_1(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_unwritable_out_exit_1(c4_files, tmp_path, capsys):
+    pres, phi = c4_files
+    out = str(tmp_path / "no" / "such" / "dir" / "r.json")
+    assert cli.main(["solve", pres, phi, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert "Traceback" not in err
+
+
 def test_missing_central_section_exit_1(tmp_path, capsys):
     pres = write(tmp_path, "nocentral.grp", "generators: x\nrelator: x^4\n")
     phi = write(tmp_path, "phi.img", "image: x\n")

@@ -8,7 +8,6 @@ from centrallift.lifting import (
     NotSquarefree,
     build_exponent_matrix,
     build_residue_vector,
-    infinite_cyclic_aut_targets,
     is_automorphism,
     materialize,
     report_to_dict,
@@ -229,19 +228,6 @@ def test_aut_report_targets_non_cyclic():
     # ordered pairs of distinct involutions generating C2 x C2
     assert len(rep.targets) == 6
     assert rep.extended_matrix.rows == rep.matrix.rows + 2
-
-
-def test_infinite_cyclic_targets():
-    # over the integers the two targets pin the image of z to z or z^-1
-    matrix = modlinalg.IntMatrix.from_rows([[0, 0]])
-    systems = infinite_cyclic_aut_targets(matrix, (1, 1), (0,), 0)
-    assert [s.rhs for s in systems] == [(0, 1), (0, -1)]
-    assert systems[0].modulus == 0
-    for system, expected in zip(systems, (1, -1)):
-        s = modlinalg.solve(system)
-        assert s.solvable and s.count == modlinalg.INFINITE
-        for v in modlinalg.enumerate_solutions(s, 5):
-            assert v[0] + v[1] == expected
 
 
 def test_report_to_dict_shape():

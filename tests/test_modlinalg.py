@@ -5,26 +5,13 @@ import random
 import pytest
 
 from centrallift.modlinalg import (
-    INFINITE,
-    InfiniteSolutionSet,
     IntMatrix,
     LinearSystem,
     enumerate_solutions,
     smith,
     solve,
 )
-
-
-def laplace_det(rows):
-    # independent determinant oracle for small matrices
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    for j in range(n):
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        total += (-1) ** j * rows[0][j] * laplace_det(minor)
-    return total
+from linalg_oracle import laplace_det
 
 
 def minor_gcd_diagonal(matrix: IntMatrix):
@@ -87,7 +74,7 @@ def test_smith_deterministic():
 def test_solve_all_residues():
     s = solve(LinearSystem(IntMatrix.from_rows([[4]]), (0,), 2))
     assert s.solvable and s.count == 2
-    assert enumerate_solutions(s, 10) == [(0,), (1,)]
+    assert enumerate_solutions(s) == [(0,), (1,)]
 
 
 def test_solve_identity_system():
@@ -103,33 +90,10 @@ def test_solve_parity_obstruction():
     assert enumerate_solutions(s) == []
 
 
-def test_enumerate_respects_cap():
-    s = solve(LinearSystem(IntMatrix.identity(2), (3, 5), 7))
-    assert enumerate_solutions(s, 0) == []
-
-
-def test_enumerate_infinite_needs_cap():
-    s = solve(LinearSystem(IntMatrix.from_rows([[2, 3]]), (1,), 0))
-    assert s.count == INFINITE
-    with pytest.raises(InfiniteSolutionSet):
-        enumerate_solutions(s)
-    five = enumerate_solutions(s, 5)
-    assert len(five) == len(set(five)) == 5
-    for v in five:
-        assert 2 * v[0] + 3 * v[1] == 1
-    # deterministic
-    assert five == enumerate_solutions(s, 5)
-
-
-def test_solve_over_integers_unique():
-    s = solve(LinearSystem(IntMatrix.from_rows([[2, 0], [0, 3]]), (4, 9), 0))
-    assert s.solvable and s.count == 1
-    assert enumerate_solutions(s) == [(2, 3)]
-
-
-def test_solve_over_integers_unsolvable():
-    s = solve(LinearSystem(IntMatrix.from_rows([[2]]), (1,), 0))
-    assert not s.solvable
+def test_linear_system_rejects_non_positive_modulus():
+    for modulus in (0, -1):
+        with pytest.raises(ValueError, match="modulus must be positive"):
+            LinearSystem(IntMatrix.identity(1), (0,), modulus)
 
 
 def test_modulus_one_degenerate():
@@ -199,11 +163,3 @@ def test_solution_sets_are_kernel_cosets():
         s1 = solve(LinearSystem(m, w1, modulus))
         assert s0.solvable and s1.solvable
         assert s0.count == s1.count
-
-
-def test_det_against_oracle():
-    rng = random.Random(8)
-    for _ in range(200):
-        n = rng.randint(1, 4)
-        m = _random_matrix(rng, n, n)
-        assert m.det() == laplace_det(m.to_rows())

@@ -104,14 +104,14 @@ def test_bf_quotient_auts_counts():
 
 
 def test_bf_quotient_auts_words_represent_automorphisms():
-    from centrallift.presentation import validate_quotient_aut
+    from centrallift.presentation import check_quotient_aut_on
 
     pres, _, engine, n_elements = corpus.build(corpus.C2C2C4_AC2)
     specs = oracle.bf_quotient_auts(pres, engine, n_elements)
-    for spec in specs:
-        validate_quotient_aut(spec, pres, engine, n_elements)
-    # distinct induced maps
     q = engines.quotient_engine(engine, n_elements)
+    for spec in specs:
+        check_quotient_aut_on(spec, pres, engine, q, n_elements)
+    # distinct induced maps
     gens = [engine.generator(i) for i in range(pres.n)]
     from centrallift.words import evaluate
 

@@ -1,6 +1,7 @@
 import pytest
 
 import corpus
+from centrallift.engines import quotient_engine
 from centrallift.presentation import (
     CentralSubgroupSpec,
     NotCentral,
@@ -8,12 +9,12 @@ from centrallift.presentation import (
     NotSurjective,
     PresentationSyntaxError,
     QuotientAutSpec,
+    check_quotient_aut_on,
     format_presentation,
     parse_presentation,
     parse_presentation_file,
     parse_quotient_aut,
     validate_central,
-    validate_quotient_aut,
 )
 from centrallift.words import FreeWord, parse_word
 
@@ -107,22 +108,25 @@ def test_validate_central_rejects_noncentral():
 
 def test_validate_quotient_aut_identity():
     pres, central, engine, n_elements = corpus.build(corpus.C4)
+    q = quotient_engine(engine, n_elements)
     spec = QuotientAutSpec((parse_word("x", pres.names),))
-    validate_quotient_aut(spec, pres, engine, n_elements)
+    check_quotient_aut_on(spec, pres, engine, q, n_elements)
 
 
 def test_validate_quotient_aut_x_cubed():
     # x -> x^3 agrees with x -> x modulo <x^2>
     pres, central, engine, n_elements = corpus.build(corpus.C4)
+    q = quotient_engine(engine, n_elements)
     spec = QuotientAutSpec((parse_word("x^3", pres.names),))
-    validate_quotient_aut(spec, pres, engine, n_elements)
+    check_quotient_aut_on(spec, pres, engine, q, n_elements)
 
 
 def test_validate_quotient_aut_not_surjective():
     pres, central, engine, n_elements = corpus.build(corpus.C4)
+    q = quotient_engine(engine, n_elements)
     spec = QuotientAutSpec((parse_word("x^2", pres.names),))
     with pytest.raises(NotSurjective):
-        validate_quotient_aut(spec, pres, engine, n_elements)
+        check_quotient_aut_on(spec, pres, engine, q, n_elements)
 
 
 def test_validate_quotient_aut_must_annihilate_n():
@@ -134,11 +138,12 @@ def test_validate_quotient_aut_must_annihilate_n():
         "relator: a^2\nrelator: c^4\nrelator: a^-1*c^-1*a*c\ncentral: a\n"
     )
     pres, central, engine, n_elements = corpus.build(text)
+    q = quotient_engine(engine, n_elements)
     spec = QuotientAutSpec(
         (parse_word("c^2", pres.names), parse_word("c", pres.names))
     )
     with pytest.raises(NotHomomorphism) as err:
-        validate_quotient_aut(spec, pres, engine, n_elements)
+        check_quotient_aut_on(spec, pres, engine, q, n_elements)
     assert err.value.relator_index is None
 
 
@@ -146,6 +151,7 @@ def test_validate_quotient_aut_relator_failure():
     # Heisenberg mod center: sending z's coset to x's breaks the relator
     # [x, y] = z in the quotient, and the error names it.
     pres, central, engine, n_elements = corpus.build(corpus.HEISENBERG)
+    q = quotient_engine(engine, n_elements)
     spec = QuotientAutSpec(
         (
             parse_word("x", pres.names),
@@ -154,7 +160,7 @@ def test_validate_quotient_aut_relator_failure():
         )
     )
     with pytest.raises(NotHomomorphism) as err:
-        validate_quotient_aut(spec, pres, engine, n_elements)
+        check_quotient_aut_on(spec, pres, engine, q, n_elements)
     assert err.value.relator_index == 3
 
 
@@ -163,7 +169,8 @@ def test_validate_oracle_agreement():
     from centrallift import oracle
 
     pres, central, engine, n_elements = corpus.build(corpus.Q8)
+    q = quotient_engine(engine, n_elements)
     specs = oracle.bf_quotient_auts(pres, engine, n_elements)
     for spec in specs:
-        validate_quotient_aut(spec, pres, engine, n_elements)
+        check_quotient_aut_on(spec, pres, engine, q, n_elements)
     assert len(specs) == 6  # Aut(C2 x C2)

@@ -1,0 +1,51 @@
+"""Property tests: the solver against the brute-force oracle on generated
+finite presentations with a cyclic central subgroup."""
+
+import os
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import configuration, given, settings, strategies as st
+
+import corpus
+from centrallift import oracle
+
+# Whatever the database setting, hypothesis caches the literals of local
+# modules under its home directory (./.hypothesis).  A home in which no
+# directory can be made turns that cache off, so a run leaves no files.
+configuration.set_hypothesis_home_dir(os.devnull)
+
+
+@st.composite
+def cyclic_central_quotients(draw) -> str:
+    """C_a x C_b modulo a nontrivial <x^i*y^j>, or a dihedral group of
+    order 2n modulo the trivial subgroup or its centre <r^(n/2)>."""
+    if draw(st.booleans()):
+        a, b = draw(st.integers(2, 8)), draw(st.integers(2, 8))
+        k = draw(st.integers(1, a * b - 1))
+        i, j = k % a, k // a
+        return (
+            f"generators: x y\nrelator: x^{a}\nrelator: y^{b}\n"
+            f"relator: x^-1*y^-1*x*y\ncentral: x^{i}*y^{j}\n"
+        )
+    n = draw(st.integers(2, 8))
+    central = draw(st.sampled_from(["1", f"r^{n // 2}"] if n % 2 == 0 else ["1"]))
+    return (
+        f"generators: r s\nrelator: r^{n}\nrelator: s^2\nrelator: s*r*s*r\n"
+        f"central: {central}\n"
+    )
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(cyclic_central_quotients())
+def test_solver_matches_oracle_on_generated_groups(text):
+    pres, _, engine, n_elements = corpus.build(text)
+    hom_counts = set()
+    for phi in oracle.bf_quotient_auts(pres, engine, n_elements):
+        report = oracle.compare(corpus.problem_for(text, phi))
+        assert report.match
+        if report.solver_hom_count:
+            hom_counts.add(report.solver_hom_count)
+    # the homomorphic lifts of any liftable phi form a coset of one group
+    assert len(hom_counts) <= 1
