@@ -13,6 +13,7 @@ from .presentation import (
 from .engines import PermutationEngine, todd_coxeter, quotient_engine
 from .lifting import (
     Endomorphism,
+    LiftContext,
     LiftProblem,
     LiftReport,
     solve_aut_lifts,
@@ -37,6 +38,7 @@ __all__ = [
     "todd_coxeter",
     "quotient_engine",
     "Endomorphism",
+    "LiftContext",
     "LiftProblem",
     "LiftReport",
     "solve_hom_lifts",

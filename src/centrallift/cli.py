@@ -8,7 +8,8 @@ Commands:
   demo              metacyclic showcase (--p, --n)
 
 Exit codes: 0 success, 1 input/configuration error, 2 no lift exists,
-3 solver/oracle mismatch.
+3 solver/oracle mismatch, 4 internal error (a failed internal
+cross-check: a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -18,22 +19,50 @@ import json
 import sys
 
 from . import engines, lifting, metacyclic, oracle
-from .lifting import LiftProblem, NotSquarefree
+from .lifting import LiftContext, LiftProblem
 from .presentation import (
+    NotCentral,
+    NotHomomorphism,
+    NotSurjective,
     PresentationSyntaxError,
     parse_presentation_file,
     parse_quotient_aut,
 )
-from .words import evaluate
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NO_LIFT = 2
 EXIT_MISMATCH = 3
+EXIT_INTERNAL = 4
 
 
 class CliError(Exception):
     pass
+
+
+# Bad input or configuration: exit 1.
+INPUT_ERRORS = (
+    CliError,
+    PresentationSyntaxError,
+    NotCentral,
+    NotHomomorphism,
+    NotSurjective,
+    lifting.DependentCentralGenerators,
+    lifting.NotSquarefree,
+    lifting.ResidueOutsideN,
+    oracle.BudgetExceeded,
+    engines.CosetLimitExceeded,
+    metacyclic.InvalidConfig,
+)
+
+# A failed internal cross-check: exit 4.
+INTERNAL_ERRORS = (
+    lifting.SolverConsistencyError,
+    lifting.CriterionMismatch,
+    lifting.NotASolution,
+    metacyclic.SearchFailed,
+    metacyclic.VerificationFailed,
+)
 
 
 def _read(path: str) -> str:
@@ -78,13 +107,19 @@ def _render_text(payload: dict, indent: int = 0) -> str:
     return "\n".join(lines)
 
 
-def _load_problem(args) -> LiftProblem:
+def _load_context(args) -> LiftContext:
     pres, central = parse_presentation_file(_read(args.presentation))
     if central is None:
         raise CliError("presentation file has no 'central:' section")
+    if args.max_cosets < 1:
+        raise CliError("--max-cosets must be >= 1")
     engine = engines.todd_coxeter(pres, max_cosets=args.max_cosets)
-    phi = parse_quotient_aut(_read(args.phi), pres)
-    return LiftProblem.build(pres, engine, central, phi)
+    return LiftContext(pres, engine, central)
+
+
+def _load_problem(args) -> LiftProblem:
+    context = _load_context(args)
+    return context.problem(parse_quotient_aut(_read(args.phi), context.pres))
 
 
 def cmd_solve(args) -> int:
@@ -100,30 +135,23 @@ def cmd_auto(args) -> int:
         exists = lifting.squarefree_existence(problem)
         _emit({"kind": "existence", "lift_exists": exists}, args.format, args.out)
         return EXIT_OK if exists else EXIT_NO_LIFT
-    report = lifting.solve_aut_lifts(problem)
+    report = lifting.solve_aut_lifts(problem, lifting.solve_hom_lifts(problem))
     _emit(lifting.report_to_dict(problem, report), args.format, args.out)
     return EXIT_OK if report.lifts else EXIT_NO_LIFT
 
 
 def cmd_verify(args) -> int:
-    pres, central = parse_presentation_file(_read(args.presentation))
-    if central is None:
-        raise CliError("presentation file has no 'central:' section")
-    engine = engines.todd_coxeter(pres, max_cosets=args.max_cosets)
+    context = _load_context(args)
     if args.phi:
-        specs = [parse_quotient_aut(_read(args.phi), pres)]
+        specs = [parse_quotient_aut(_read(args.phi), context.pres)]
     else:
-        gens = [engine.generator(i) for i in range(pres.n)]
-        z_values = [evaluate(w, gens, engine) for w in central.z_words]
-        n_elements = engines.subgroup_closure(engine, z_values)
         specs = oracle.bf_quotient_auts(
-            pres, engine, n_elements, budget=args.aut_budget
+            context.pres, context.engine, context.n_elements, budget=args.aut_budget
         )
     results = []
     try:
         for spec in specs:
-            problem = LiftProblem.build(pres, engine, central, spec)
-            report = oracle.compare(problem, budget=args.lift_budget)
+            report = oracle.compare(context.problem(spec), budget=args.lift_budget)
             results.append(report.to_dict())
     except oracle.Mismatch as exc:
         _emit(
@@ -196,16 +224,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        CliError,
-        PresentationSyntaxError,
-        NotSquarefree,
-        oracle.BudgetExceeded,
-        engines.CosetLimitExceeded,
-        ValueError,
-    ) as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except INTERNAL_ERRORS as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def console_main() -> None:

@@ -116,18 +116,23 @@ class GroupEngine:
         return [Element(self, i) for i in range(self._order)]
 
     def power(self, a: Element, k: int) -> Element:
-        """a**k by square-and-multiply; negative k goes through the inverse."""
-        idx = self.check(a)
+        return Element(self, self._power_index(self.check(a), k))
+
+    def _power_index(self, idx: int, k: int) -> int:
+        """Index of idx**k by square-and-multiply; negative k goes through
+        the inverse.  The last square is skipped, so x^1 touches no row."""
         if k < 0:
             idx = self._inv_index(idx)
             k = -k
+        mult = self._mult_index
         acc = 0  # identity index
         while k:
             if k & 1:
-                acc = self._mult_index(acc, idx)
-            idx = self._mult_index(idx, idx)
+                acc = idx if acc == 0 else mult(acc, idx)
             k >>= 1
-        return Element(self, acc)
+            if k:
+                idx = mult(idx, idx)
+        return acc
 
     def _mult_index(self, i: int, j: int) -> int:
         raise NotImplementedError

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, prod
 
 from . import engines, modlinalg
 from .engines import Element, GroupEngine
-from .modlinalg import IntMatrix, LinearSystem, SolutionSet
+from .modlinalg import IntMatrix, LinearSystem, SmithDecomposition, SolutionSet
 from .presentation import (
     CentralSubgroupSpec,
     Presentation,
@@ -68,66 +69,138 @@ class Endomorphism:
         return tuple(el.index for el in self.images)
 
 
-class LiftProblem:
-    """Validated lift instance: presentation, engine, central data and phi.
+class LiftContext:
+    """Everything about (G, N) that does not depend on phi, computed once.
 
-    Use LiftProblem.build; it checks centrality, independence of the
-    z-generators (|N| equals the product of their orders, which makes the
-    per-block correspondence one-to-one) and that phi is an automorphism
-    of G/N.
+    Checks that the z-words are central and that the z-generators are
+    independent (|N| equals the product of their orders, which makes the
+    per-block correspondence one-to-one).  Holds N, the quotient engine
+    of G by N, words for N's generators, the central log table, and the
+    exponent matrix M with its Smith decomposition; the automorphic
+    targets' extended matrix is built on first use.  Each phi then costs
+    only its own check (problem) and right-hand sides.
     """
 
     def __init__(
-        self,
-        pres: Presentation,
-        engine: GroupEngine,
-        central: CentralSubgroupSpec,
-        phi: QuotientAutSpec,
-        z_elements: tuple[Element, ...],
-        z_orders: tuple[int, ...],
-        n_elements: tuple[Element, ...],
-        xbar: tuple[Element, ...],
-        quotient: engines.QuotientEngine,
+        self, pres: Presentation, engine: GroupEngine, central: CentralSubgroupSpec
     ):
+        validate_central(central, pres, engine)
+        gens = [engine.generator(i) for i in range(pres.n)]
         self.pres = pres
         self.engine = engine
         self.central = central
+        self.z_elements = tuple(evaluate(w, gens, engine) for w in central.z_words)
+        self.z_orders = tuple(engines.element_order(engine, z) for z in self.z_elements)
+        self.n_elements = engines.subgroup_closure(engine, self.z_elements)
+        self.n_order = len(self.n_elements)
+        if prod(self.z_orders) != self.n_order:
+            raise DependentCentralGenerators(
+                f"z-generators have order product {prod(self.z_orders)} but generate "
+                f"a subgroup of order {self.n_order}; supply independent generators"
+            )
+        if engine.order() % self.n_order:
+            raise AssertionError("#N does not divide the group order")
+        self.quotient = engines.quotient_engine(engine, self.n_elements)
+        self.n_words = engines.subgroup_generator_words(engine, self.n_elements)
+        self.log_table = engines.central_log_table(engine, self.z_elements)
+        self.matrix = build_exponent_matrix(pres)
+        self.smith = modlinalg.smith(self.matrix)
+
+    def problem(self, phi: QuotientAutSpec) -> "LiftProblem":
+        """The lift instance for one automorphism phi of G/N."""
+        return LiftProblem.build(self, phi)
+
+    @cached_property
+    def aut_system(self) -> "AutSystem":
+        """The phi-independent half of solve_aut_lifts.
+
+        Cyclic N of prime-power order #N = p^e: the z-word's exponent row
+        is scaled by #N/p, with one target per k in 1..p-1 forcing the
+        image of z to keep order #N.  Other cyclic N: one unscaled target
+        per unit residue (each admissible image of z).  Non-cyclic N: one
+        target per tuple of images of the z-generators that has matching
+        orders and generates N, with one appended row per z-word.
+        """
+        engine, orders = self.engine, self.z_orders
+        scale = 1
+        targets: list[tuple[str, tuple[tuple[int, ...], ...]]] = []
+        if len(orders) == 1:
+            order = orders[0]
+            if _is_prime_power(order):
+                p = _smallest_prime_factor(order)
+                scale = order // p
+                targets = [(f"k={k}", ((k,),)) for k in range(1, p)]
+            else:
+                # composite non-prime-power (or trivial) order: enumerate the
+                # admissible images of z directly; the smallest-prime trick
+                # only rules out one prime divisor.
+                targets = [(f"z->z^{c}", ((c,),)) for c in _units(order)]
+        else:
+            for tup in itertools.product(self.n_elements, repeat=len(orders)):
+                if any(
+                    engines.element_order(engine, el) != o for el, o in zip(tup, orders)
+                ):
+                    continue
+                if engines.subgroup_closure(engine, tup) != self.n_elements:
+                    continue
+                logs = [self.log_table[el.index] for el in tup]
+                label = "images=" + ",".join(
+                    format_word(engines.word_for_element(engine, el), self.pres.names)
+                    for el in tup
+                )
+                shifts = tuple(tuple(lg[j] for lg in logs) for j in range(len(orders)))
+                targets.append((label, shifts))
+        extended = self.matrix.stack_rows(
+            [
+                [scale * x for x in exponent_vector(w, self.pres.n)]
+                for w in self.central.z_words
+            ]
+        )
+        return AutSystem(extended, modlinalg.smith(extended), scale, tuple(targets))
+
+
+@dataclass(frozen=True)
+class AutSystem:
+    """M with one row per z-word appended (times `scale`), its Smith
+    decomposition, and the automorphic targets as (label, shifts): block j
+    of a target's right-hand side is w_j followed, for each z-word i, by
+    scale * (u[i][j] + shifts[j][i]) mod o_j, where f_i(xbar) =
+    prod_j z_j^(-u[i][j])."""
+
+    matrix: IntMatrix
+    smith: SmithDecomposition
+    scale: int
+    targets: tuple[tuple[str, tuple[tuple[int, ...], ...]], ...]
+
+
+class LiftProblem:
+    """One lift instance: a LiftContext and an automorphism phi of G/N.
+
+    Use LiftProblem.build (or context.problem); it checks that phi is an
+    automorphism of G/N and evaluates its representatives xbar in G.
+    """
+
+    def __init__(
+        self, context: LiftContext, phi: QuotientAutSpec, xbar: tuple[Element, ...]
+    ):
+        self.context = context
         self.phi = phi
-        self.z_elements = z_elements
-        self.z_orders = z_orders
-        self.n_elements = n_elements
-        self.n_order = len(n_elements)
         self.xbar = xbar
-        self.quotient = quotient
+        self.pres = context.pres
+        self.engine = context.engine
+        self.central = context.central
+        self.z_elements = context.z_elements
+        self.z_orders = context.z_orders
+        self.n_elements = context.n_elements
+        self.n_order = context.n_order
+        self.quotient = context.quotient
 
     @classmethod
-    def build(
-        cls,
-        pres: Presentation,
-        engine: GroupEngine,
-        central: CentralSubgroupSpec,
-        phi: QuotientAutSpec,
-    ) -> "LiftProblem":
-        validate_central(central, pres, engine)
-        gens = [engine.generator(i) for i in range(pres.n)]
-        z_elements = tuple(evaluate(w, gens, engine) for w in central.z_words)
-        z_orders = tuple(engines.element_order(engine, z) for z in z_elements)
-        n_elements = engines.subgroup_closure(engine, z_elements)
-        product = 1
-        for o in z_orders:
-            product *= o
-        if product != len(n_elements):
-            raise DependentCentralGenerators(
-                f"z-generators have order product {product} but generate a subgroup "
-                f"of order {len(n_elements)}; supply independent generators"
-            )
-        if engine.order() % len(n_elements):
-            raise AssertionError("#N does not divide the group order")
-        quotient = engines.quotient_engine(engine, n_elements)
-        xbar = tuple(check_quotient_aut_on(phi, pres, engine, quotient, n_elements))
-        return cls(
-            pres, engine, central, phi, z_elements, z_orders, n_elements, xbar, quotient
+    def build(cls, context: LiftContext, phi: QuotientAutSpec) -> "LiftProblem":
+        xbar = check_quotient_aut_on(
+            phi, context.pres, context.engine, context.quotient, context.n_words
         )
+        return cls(context, phi, tuple(xbar))
 
 
 @dataclass(frozen=True)
@@ -168,10 +241,11 @@ def build_exponent_matrix(pres: Presentation) -> IntMatrix:
     return IntMatrix.from_rows(rows)
 
 
-def _residue_of_word(problem: LiftProblem, log_table, word: FreeWord, index: int):
+def _residue_of_word(problem: LiftProblem, word: FreeWord, index: int):
     """(w_1..w_t) with word(xbar) = prod_j z_j^(-w_j); index names the word
     in the ResidueOutsideN raised when the value is not in N."""
-    exps = log_table.get(evaluate(word, problem.xbar, problem.engine).index)
+    value = evaluate(word, problem.xbar, problem.engine)
+    exps = problem.context.log_table.get(value.index)
     if exps is None:
         raise ResidueOutsideN(index)
     return tuple((-e) % o for e, o in zip(exps, problem.z_orders))
@@ -179,10 +253,8 @@ def _residue_of_word(problem: LiftProblem, log_table, word: FreeWord, index: int
 
 def build_residue_vector(problem: LiftProblem) -> list[tuple[int, ...]]:
     """Per-z-generator residues: r_k(xbar) = prod_j z_j^(-w[j][k])."""
-    log_table = engines.central_log_table(problem.engine, problem.z_elements)
     per_relator = [
-        _residue_of_word(problem, log_table, rel, k)
-        for k, rel in enumerate(problem.pres.relators)
+        _residue_of_word(problem, rel, k) for k, rel in enumerate(problem.pres.relators)
     ]
     return [tuple(r[j] for r in per_relator) for j in range(len(problem.z_elements))]
 
@@ -225,18 +297,20 @@ def _enumerate_block_solutions(sets: tuple[SolutionSet, ...]):
     return itertools.product(*per_block)
 
 
-def _solve_blocks(matrix: IntMatrix, rhs_blocks, moduli) -> tuple[SolutionSet, ...]:
+def _solve_blocks(
+    matrix: IntMatrix, dec: SmithDecomposition, rhs_blocks, moduli
+) -> tuple[SolutionSet, ...]:
     return tuple(
-        modlinalg.solve(LinearSystem(matrix, tuple(rhs), modulus))
+        modlinalg.solve(LinearSystem(matrix, tuple(rhs), modulus), dec)
         for rhs, modulus in zip(rhs_blocks, moduli)
     )
 
 
 def solve_hom_lifts(problem: LiftProblem) -> LiftReport:
     """All homomorphic lifts of phi, via one block system per z-generator."""
-    matrix = build_exponent_matrix(problem.pres)
+    context = problem.context
     residues = tuple(build_residue_vector(problem))
-    sets = _solve_blocks(matrix, residues, problem.z_orders)
+    sets = _solve_blocks(context.matrix, context.smith, residues, problem.z_orders)
     count = prod(s.count for s in sets)
     target = LiftTarget("hom", residues, sets, count)
     lifts: list[Lift] = []
@@ -248,7 +322,7 @@ def solve_hom_lifts(problem: LiftProblem) -> LiftReport:
         raise SolverConsistencyError("block solutions did not map to distinct lifts")
     return LiftReport(
         kind="homomorphic",
-        matrix=matrix,
+        matrix=context.matrix,
         extended_matrix=None,
         moduli=problem.z_orders,
         residues=residues,
@@ -290,101 +364,53 @@ def _units(m: int) -> list[int]:
     return [c for c in range(m) if gcd(c, m) == 1]
 
 
-def solve_aut_lifts(problem: LiftProblem) -> LiftReport:
-    """All automorphic lifts of phi.
+def solve_aut_lifts(problem: LiftProblem, hom: LiftReport) -> LiftReport:
+    """All automorphic lifts of phi, given hom = solve_hom_lifts(problem).
 
-    Cyclic N of prime-power order #N = p^e: append the z-word's exponent
-    row scaled by #N/p and solve for the p-1 targets that force the image
-    of z to keep order #N.  Other cyclic N: one unscaled target per unit
-    residue (each admissible image of z).  Non-cyclic N: one target per
-    tuple of images of the z-generators that has matching orders and
-    generates N, with one appended row per z-word.
-
-    The union over targets is cross-checked against the homomorphic
-    lifts filtered by the psi(N)=N criterion.
+    Each target of the context's aut_system is solved against the
+    extended matrix, and its solution vectors are looked up among the
+    homomorphic lifts.  The union over targets is cross-checked against
+    the homomorphic lifts filtered by the psi(N)=N criterion.
     """
-    hom = solve_hom_lifts(problem)
-    truth = {lift.endo for lift in hom.lifts if lift.automorphic}
-
-    matrix = hom.matrix
-    residues = hom.residues
+    system = problem.context.aut_system
     orders = problem.z_orders
-    t = len(problem.z_elements)
-    log_table = engines.central_log_table(problem.engine, problem.z_elements)
-    f_rows = [
-        list(exponent_vector(w, problem.pres.n)) for w in problem.central.z_words
-    ]
+    t = len(orders)
+    by_v = {lift.v_blocks: lift for lift in hom.lifts}
+    truth = {lift.endo for lift in hom.lifts if lift.automorphic}
     # f_i at the representatives: f_i(xbar) = prod_j z_j^(-u[i][j])
-    u = [_residue_of_word(problem, log_table, w, -1) for w in problem.central.z_words]
+    u = [_residue_of_word(problem, w, -1) for w in problem.central.z_words]
 
     targets: list[LiftTarget] = []
     lifts: list[Lift] = []
     seen: dict[Endomorphism, str] = {}
-
-    def run_target(label: str, extended: IntMatrix, rhs_blocks) -> None:
-        sets = _solve_blocks(extended, rhs_blocks, orders)
-        count = prod(s.count for s in sets)
-        targets.append(LiftTarget(label, tuple(tuple(r) for r in rhs_blocks), sets, count))
+    for label, shifts in system.targets:
+        rhs_blocks = tuple(
+            hom.residues[j]
+            + tuple(
+                system.scale * (u[i][j] + shifts[j][i]) % orders[j] for i in range(t)
+            )
+            for j in range(t)
+        )
+        sets = _solve_blocks(system.matrix, system.smith, rhs_blocks, orders)
+        targets.append(LiftTarget(label, rhs_blocks, sets, prod(s.count for s in sets)))
         if not all(s.solvable for s in sets):
-            return
+            continue
         for combo in _enumerate_block_solutions(sets):
-            endo = materialize(problem, combo)
-            if endo in seen:
+            lift = by_v.get(combo)
+            if lift is None:
                 raise SolverConsistencyError(
-                    f"lift produced by targets {seen[endo]} and {label}"
+                    f"target {label} produced a vector with no homomorphic lift"
                 )
-            seen[endo] = label
-            if not is_automorphism(problem, endo):
+            if lift.endo in seen:
+                raise SolverConsistencyError(
+                    f"lift produced by targets {seen[lift.endo]} and {label}"
+                )
+            seen[lift.endo] = label
+            if not lift.automorphic:
                 raise SolverConsistencyError(
                     f"target {label} produced a non-automorphic lift"
                 )
-            lifts.append(Lift(tuple(combo), endo, True))
-
-    if t == 1:
-        order = orders[0]
-        w0 = residues[0]
-        wf = u[0][0]
-        if _is_prime_power(order):
-            p = _smallest_prime_factor(order)
-            s = order // p
-            extended = matrix.stack_rows([[s * x for x in f_rows[0]]])
-            for k in range(1, p):
-                rhs = w0 + ((s * wf + k * s) % order,)
-                run_target(f"k={k}", extended, (rhs,))
-        else:
-            # composite non-prime-power (or trivial) order: enumerate the
-            # admissible images of z directly; the smallest-prime trick
-            # only rules out one prime divisor.
-            extended = matrix.stack_rows([f_rows[0]])
-            for c in _units(order):
-                rhs = w0 + ((wf + c) % order,)
-                run_target(f"z->z^{c}", extended, (rhs,))
-    else:
-        extended = matrix.stack_rows(f_rows)
-        n_list = list(problem.n_elements)
-        candidates = []
-        for tup in itertools.product(n_list, repeat=t):
-            if any(
-                engines.element_order(problem.engine, el) != o
-                for el, o in zip(tup, orders)
-            ):
-                continue
-            if engines.subgroup_closure(problem.engine, tup) != problem.n_elements:
-                continue
-            candidates.append(tup)
-        for tup in candidates:
-            logs = [log_table[el.index] for el in tup]
-            rhs_blocks = []
-            for j in range(t):
-                rhs = list(residues[j])
-                for i in range(t):
-                    rhs.append((u[i][j] + logs[i][j]) % orders[j])
-                rhs_blocks.append(tuple(rhs))
-            label = "images=" + ",".join(
-                format_word(engines.word_for_element(problem.engine, el), problem.pres.names)
-                for el in tup
-            )
-            run_target(label, extended, tuple(rhs_blocks))
+            lifts.append(lift)
 
     if set(seen) != truth:
         raise SolverConsistencyError(
@@ -393,10 +419,10 @@ def solve_aut_lifts(problem: LiftProblem) -> LiftReport:
         )
     return LiftReport(
         kind="automorphic",
-        matrix=matrix,
-        extended_matrix=extended,
+        matrix=hom.matrix,
+        extended_matrix=system.matrix,
         moduli=orders,
-        residues=residues,
+        residues=hom.residues,
         targets=tuple(targets),
         lifts=tuple(lifts),
     )
@@ -410,9 +436,9 @@ def squarefree_existence(problem: LiftProblem) -> bool:
     """
     if not is_squarefree(problem.n_order):
         raise NotSquarefree(f"#N = {problem.n_order} is not squarefree")
-    matrix = build_exponent_matrix(problem.pres)
+    context = problem.context
     residues = build_residue_vector(problem)
-    sets = _solve_blocks(matrix, residues, problem.z_orders)
+    sets = _solve_blocks(context.matrix, context.smith, residues, problem.z_orders)
     return all(s.solvable for s in sets)
 
 

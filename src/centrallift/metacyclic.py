@@ -16,9 +16,13 @@ from dataclasses import dataclass
 
 from . import engines, lifting, oracle
 from .engines import Element, PermutationEngine
-from .lifting import LiftProblem
+from .lifting import LiftContext
 from .presentation import CentralSubgroupSpec, Presentation, QuotientAutSpec
 from .words import FreeWord, concat, evaluate, format_word
+
+
+class InvalidConfig(ValueError):
+    """The case-study parameters are out of range."""
 
 
 class SearchFailed(RuntimeError):
@@ -67,11 +71,11 @@ class CaseStudyConfig:
 
     def __post_init__(self):
         if self.p < 3 or lifting._smallest_prime_factor(self.p) != self.p:
-            raise ValueError("p must be an odd prime")
+            raise InvalidConfig("p must be an odd prime")
         if self.n < 4:
-            raise ValueError("n must be >= 4")
+            raise InvalidConfig("n must be >= 4")
         if self.aut_order > self.order_budget:
-            raise ValueError(
+            raise InvalidConfig(
                 f"|Aut(G)| = {self.aut_order} exceeds the budget {self.order_budget}"
             )
 
@@ -427,14 +431,15 @@ def verify_pi_surjective(
     """
     p, n = cfg.p, cfg.n
     fiber = p ** (n - 3)
-    central = _central_spec(cfg)
+    context = LiftContext(pres_a, a_engine, _central_spec(cfg))
     phis = oracle.bf_quotient_auts(pres_a, a_engine, center)
     k_elems = set(engines.subgroup_closure(a_engine, (params.x1, params.x2)))
     all_automorphic = True
     for spec in phis:
         adjusted = _adjust_into_k(cfg, a_engine, params, spec, k_elems)
-        problem = LiftProblem.build(pres_a, a_engine, central, adjusted)
-        w = lifting.build_residue_vector(problem)[0]
+        problem = context.problem(adjusted)
+        report = lifting.solve_hom_lifts(problem)
+        w = report.residues[0]
         _require(
             w[0] == 0 and w[1] == 0 and w[2] == 0,
             "residues of the power relators do not vanish",
@@ -443,7 +448,6 @@ def verify_pi_surjective(
             all(w[i] % fiber == 0 for i in (3, 4, 5)),
             "commutation residues are not divisible by p^(n-3)",
         )
-        report = lifting.solve_hom_lifts(problem)
         _require(
             len(report.lifts) == fiber,
             f"phi has {len(report.lifts)} homomorphic lifts, expected {fiber}",
@@ -492,8 +496,8 @@ def noncharacteristic_witness(
             FreeWord(((2, -1),)),
         )
     )
-    central = _central_spec(cfg)
-    problem = LiftProblem.build(pres_a, a_engine, central, phi)  # validates phi
+    context = LiftContext(pres_a, a_engine, _central_spec(cfg))
+    problem = context.problem(phi)  # validates phi
 
     quotient = problem.quotient
     iz = set(engines.subgroup_closure(a_engine, tuple(inner) + tuple(center)))
@@ -503,7 +507,7 @@ def noncharacteristic_witness(
     moved_q = {quotient.element(phi_map[el.index]) for el in iz_q}
     _require(moved_q != iz_q, "phi fixes IZ/Z")
 
-    report = lifting.solve_aut_lifts(problem)
+    report = lifting.solve_aut_lifts(problem, lifting.solve_hom_lifts(problem))
     _require(report.lifts, "witness phi has no automorphic lift")
     psi = report.lifts[0].endo
     psi_map = engines.map_images(a_engine, psi.images)

@@ -50,16 +50,6 @@ class IntMatrix:
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(ri[k] * other.get(k, j) for k in range(self.cols)))
-        return IntMatrix(self.rows, other.cols, tuple(out))
-
     def mulvec(self, vec: Sequence[int]) -> tuple[int, ...]:
         if len(vec) != self.cols:
             raise ValueError("dimension mismatch")
@@ -230,11 +220,11 @@ def _unsolvable(cols: int, modulus: int) -> SolutionSet:
     return SolutionSet(False, (0,) * cols, (), 0, modulus)
 
 
-def solve(system: LinearSystem) -> SolutionSet:
-    """Complete description of {v : M*v = w (mod modulus)}."""
+def solve(system: LinearSystem, dec: SmithDecomposition) -> SolutionSet:
+    """Complete description of {v : M*v = w (mod modulus)}, given
+    dec = smith(M): one decomposition serves every right-hand side."""
     matrix, w, mod = system.matrix, system.rhs, system.modulus
     rows, cols = matrix.rows, matrix.cols
-    dec = smith(matrix)
     c = dec.U.mulvec(w) if rows else ()
     diag = [dec.D.get(i, i) for i in range(dec.rank)]
 

@@ -103,14 +103,14 @@ def bf_hom_lifts(problem: LiftProblem, budget: int = DEFAULT_LIFT_BUDGET) -> lis
     )
 
 
+def _surjective(engine: GroupEngine, endos: list[Endomorphism]) -> list[Endomorphism]:
+    """The endomorphisms whose images generate G (hence bijective)."""
+    return [endo for endo in endos if engines.generates(engine, endo.images)]
+
+
 def bf_aut_lifts(problem: LiftProblem, budget: int = DEFAULT_LIFT_BUDGET) -> list[Endomorphism]:
     """Homomorphic lifts whose images generate G (hence bijective)."""
-    engine = problem.engine
-    return [
-        endo
-        for endo in bf_hom_lifts(problem, budget)
-        if engines.generates(engine, endo.images)
-    ]
+    return _surjective(problem.engine, bf_hom_lifts(problem, budget))
 
 
 @dataclass(frozen=True)
@@ -222,10 +222,12 @@ class ComparisonReport:
 
 def compare(problem: LiftProblem, budget: int = DEFAULT_LIFT_BUDGET) -> ComparisonReport:
     """Solver vs oracle on one problem; raises Mismatch on any disagreement."""
-    solver_hom = {lift.endo for lift in lifting.solve_hom_lifts(problem).lifts}
-    solver_aut = {lift.endo for lift in lifting.solve_aut_lifts(problem).lifts}
-    oracle_hom = set(bf_hom_lifts(problem, budget))
-    oracle_aut = set(bf_aut_lifts(problem, budget))
+    hom = lifting.solve_hom_lifts(problem)
+    solver_hom = {lift.endo for lift in hom.lifts}
+    solver_aut = {lift.endo for lift in lifting.solve_aut_lifts(problem, hom).lifts}
+    oracle_hom_list = bf_hom_lifts(problem, budget)
+    oracle_hom = set(oracle_hom_list)
+    oracle_aut = set(_surjective(problem.engine, oracle_hom_list))
 
     counterexample = None
     for kind, mine, theirs in (

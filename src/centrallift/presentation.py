@@ -142,16 +142,6 @@ def parse_presentation(text: str) -> Presentation:
     return parse_presentation_file(text)[0]
 
 
-def format_presentation(
-    pres: Presentation, central: CentralSubgroupSpec | None = None
-) -> str:
-    lines = ["generators: " + " ".join(pres.names)]
-    lines.extend("relator: " + format_word(r, pres.names) for r in pres.relators)
-    if central is not None:
-        lines.extend("central: " + format_word(w, pres.names) for w in central.z_words)
-    return "\n".join(lines) + "\n"
-
-
 def parse_quotient_aut(text: str, pres: Presentation) -> QuotientAutSpec:
     """Parse an image file: exactly one ``image:`` line per generator."""
     words: list[FreeWord] = []
@@ -188,10 +178,12 @@ def check_quotient_aut_on(
     pres: Presentation,
     engine: engines.GroupEngine,
     quotient: engines.QuotientEngine,
-    n_elements,
+    n_words,
 ) -> list[engines.Element]:
     """Check that the representatives induce an automorphism of G/N, given
-    the quotient engine of G by N; returns the representatives' values in G.
+    the quotient engine of G by N and words for generators of N (as from
+    engines.subgroup_generator_words); returns the representatives' values
+    in G.
 
     The induced map is an endomorphism of G/N iff every presentation
     relator vanishes at the projected images *and* the images annihilate
@@ -207,7 +199,7 @@ def check_quotient_aut_on(
     for k, rel in enumerate(pres.relators):
         if evaluate(rel, images, quotient) != quotient.identity():
             raise NotHomomorphism(k)
-    for word in engines.subgroup_generator_words(engine, n_elements):
+    for word in n_words:
         if evaluate(word, images, quotient) != quotient.identity():
             raise NotHomomorphism(None)
     if not engines.generates(quotient, images):

@@ -67,10 +67,6 @@ def reduce(raw: Sequence[tuple[int, int]]) -> FreeWord:
     return FreeWord(tuple((g, e) for g, e in stack))
 
 
-def inverse(word: FreeWord) -> FreeWord:
-    return FreeWord(tuple((g, -e) for g, e in reversed(word.letters)))
-
-
 def concat(u: FreeWord, v: FreeWord) -> FreeWord:
     return reduce(u.letters + v.letters)
 
@@ -134,15 +130,18 @@ def format_word(word: FreeWord, names: Sequence[str]) -> str:
 def evaluate(word: FreeWord, images, engine):
     """Evaluate the word at the given generator images in an engine.
 
-    Exponents use the engine's square-and-multiply power, so relators
-    like x^(p^(n-1)) cost O(log exp) multiplications.  Invariant under
-    free reduction of the word.
+    Works on element indices through the engine's square-and-multiply
+    power, so relators like x^(p^(n-1)) cost O(log exp) multiplications
+    and only the result becomes an Element.  Invariant under free
+    reduction of the word.
     """
-    result = engine.identity()
+    mult, power, check = engine._mult_index, engine._power_index, engine.check
+    acc = 0  # identity index
     for gen, exp in word.letters:
         if gen >= len(images):
             raise IndexError(
                 f"word uses generator {gen} but only {len(images)} images were given"
             )
-        result = engine.multiply(result, engine.power(images[gen], exp))
-    return result
+        step = power(check(images[gen]), exp)
+        acc = step if acc == 0 else mult(acc, step)
+    return engine.element(acc)

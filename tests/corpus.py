@@ -119,4 +119,4 @@ def build(text: str):
 
 def problem_for(text: str, phi_spec) -> lifting.LiftProblem:
     pres, central, engine, _ = build(text)
-    return lifting.LiftProblem.build(pres, engine, central, phi_spec)
+    return lifting.LiftContext(pres, engine, central).problem(phi_spec)

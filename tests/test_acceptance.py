@@ -4,14 +4,13 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
 import itertools
-import random
 
 import corpus
 from centrallift import engines, lifting, modlinalg, oracle
-from centrallift.lifting import LiftProblem
+from centrallift.lifting import LiftContext
 from centrallift.modlinalg import IntMatrix, LinearSystem
 from centrallift.presentation import parse_presentation
-from linalg_oracle import laplace_det
+from linalg_oracle import laplace_det, matmul, seeded_systems
 
 
 def report(line):
@@ -56,8 +55,9 @@ def test_criterion_4_solver_oracle_equivalence():
     total_phis = 0
     for name, text in corpus.CORPUS:
         pres, central, engine, n_elements = corpus.build(text)
+        context = LiftContext(pres, engine, central)
         for spec in oracle.bf_quotient_auts(pres, engine, n_elements):
-            prob = LiftProblem.build(pres, engine, central, spec)
+            prob = context.problem(spec)
             assert oracle.compare(prob).match, name
             total_phis += 1
     report(
@@ -72,8 +72,9 @@ def test_criterion_5_squarefree_equivalence():
         pres, central, engine, n_elements = corpus.build(text)
         if not lifting.is_squarefree(len(n_elements)):
             continue
+        context = LiftContext(pres, engine, central)
         for spec in oracle.bf_quotient_auts(pres, engine, n_elements):
-            prob = LiftProblem.build(pres, engine, central, spec)
+            prob = context.problem(spec)
             hom_exists = bool(oracle.bf_hom_lifts(prob))
             aut_exists = bool(oracle.bf_aut_lifts(prob))
             assert hom_exists == aut_exists, name
@@ -87,24 +88,20 @@ def test_criterion_5_squarefree_equivalence():
 
 
 def test_criterion_6_snf_and_solve_properties():
-    rng = random.Random(20260809)
     trials = 1000
     count_checks = 0
-    for _ in range(trials):
-        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
-        matrix = IntMatrix.from_rows(
-            [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        )
+    for rows_of_m, modulus, w in seeded_systems(trials):
+        matrix = IntMatrix.from_rows(rows_of_m)
+        rows, cols = matrix.rows, matrix.cols
         dec = modlinalg.smith(matrix)
-        assert dec.U.mul(matrix).mul(dec.V).entries == dec.D.entries
+        product = matmul(matmul(dec.U.to_rows(), matrix.to_rows()), dec.V.to_rows())
+        assert product == dec.D.to_rows()
         assert abs(laplace_det(dec.U.to_rows())) == 1
         assert abs(laplace_det(dec.V.to_rows())) == 1
         d = [x for x in dec.diagonal() if x]
         assert all(d[i + 1] % d[i] == 0 for i in range(len(d) - 1))
 
-        modulus = rng.randint(2, 12)
-        w = tuple(rng.randint(-9, 9) for _ in range(rows))
-        sol = modlinalg.solve(LinearSystem(matrix, w, modulus))
+        sol = modlinalg.solve(LinearSystem(matrix, w, modulus), dec)
         brute = 0
         mrows = [matrix.row(i) for i in range(rows)]
         for v in itertools.product(range(modulus), repeat=cols):

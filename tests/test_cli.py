@@ -3,7 +3,7 @@ import json
 import pytest
 
 import corpus
-from centrallift import cli, lifting
+from centrallift import cli, lifting, modlinalg
 
 
 def write(tmp_path, name, text):
@@ -121,8 +121,8 @@ def test_verify_mismatch_exit_3(tmp_path, capsys, monkeypatch):
     pres = write(tmp_path, "c6.grp", corpus.C6)
     real = lifting.solve_aut_lifts
 
-    def broken(problem):
-        report = real(problem)
+    def broken(problem, hom):
+        report = real(problem, hom)
         return lifting.LiftReport(
             kind=report.kind,
             matrix=report.matrix,
@@ -167,3 +167,60 @@ def test_text_format(c4_files, capsys):
     assert cli.main(["solve", pres, phi, "--format", "text"]) == 0
     out = capsys.readouterr().out
     assert "lift_count: 2" in out
+
+
+def test_verify_decomposes_each_matrix_once(tmp_path, capsys, monkeypatch):
+    # Heisenberg-27 has 48 phis but only two matrices: M and M extended
+    # by the z-word's row
+    pres = write(tmp_path, "heis.grp", corpus.HEISENBERG)
+    real = modlinalg.smith
+    calls = []
+
+    def counting(matrix):
+        calls.append(matrix)
+        return real(matrix)
+
+    monkeypatch.setattr(modlinalg, "smith", counting)
+    assert cli.main(["verify", pres]) == 0
+    assert json.loads(capsys.readouterr().out)["phi_count"] == 48
+    assert len(calls) <= 2
+
+
+def test_internal_error_exit_4(tmp_path, capsys, monkeypatch):
+    pres = write(tmp_path, "c6.grp", corpus.C6)
+
+    def broken(problem):
+        raise lifting.SolverConsistencyError("injected")
+
+    monkeypatch.setattr(lifting, "solve_hom_lifts", broken)
+    assert cli.main(["verify", pres]) == 4
+    err = capsys.readouterr().err
+    assert err == "internal error: SolverConsistencyError: injected\n"
+
+
+def test_bad_input_still_exit_1(tmp_path, capsys):
+    phi = write(tmp_path, "phi.img", "image: x\nimage: y\n")
+    s3 = write(
+        tmp_path,
+        "s3.grp",
+        "generators: x y\nrelator: x^3\nrelator: y^2\nrelator: x*y*x*y\ncentral: y\n",
+    )
+    assert cli.main(["solve", s3, phi]) == 1
+    assert "is not central" in capsys.readouterr().err
+    c4 = write(tmp_path, "c4.grp", corpus.C4)
+    c4_phi = write(tmp_path, "x.img", "image: x\n")
+    assert cli.main(["solve", c4, c4_phi, "--max-cosets", "0"]) == 1
+    assert "--max-cosets" in capsys.readouterr().err
+
+
+def test_programming_error_is_not_an_input_error(c4_files, monkeypatch):
+    # a plain ValueError from inside the program is a bug, not bad input:
+    # it escapes instead of being reported as "error: ..." with exit 1
+    pres, phi = c4_files
+
+    def broken(problem):
+        raise ValueError("injected")
+
+    monkeypatch.setattr(lifting, "solve_hom_lifts", broken)
+    with pytest.raises(ValueError, match="injected"):
+        cli.main(["solve", pres, phi])

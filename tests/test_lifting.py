@@ -4,6 +4,7 @@ import corpus
 from centrallift import modlinalg, oracle
 from centrallift.lifting import (
     DependentCentralGenerators,
+    LiftContext,
     LiftProblem,
     NotSquarefree,
     build_exponent_matrix,
@@ -33,7 +34,11 @@ def problem(text, images=None):
         spec = identity_spec(pres)
     else:
         spec = QuotientAutSpec(tuple(parse_word(t, pres.names) for t in images))
-    return LiftProblem.build(pres, engine, central, spec)
+    return LiftContext(pres, engine, central).problem(spec)
+
+
+def aut_report(prob):
+    return solve_aut_lifts(prob, solve_hom_lifts(prob))
 
 
 def image_keys(report):
@@ -89,19 +94,20 @@ def test_hom_lift_count_coprime_modulus():
             "generators: x y\nrelator: x^2*y^-1*x^-5*y^-1\nrelator: x*y^-3*x^7"
         )
     )
+    dec = modlinalg.smith(m)
     for modulus in (2, 3, 7, 11, 12):
-        s = modlinalg.solve(modlinalg.LinearSystem(m, (0, 0), modulus))
+        s = modlinalg.solve(modlinalg.LinearSystem(m, (0, 0), modulus), dec)
         assert s.count == 1
 
 
 def test_aut_lifts_c4():
-    rep = solve_aut_lifts(problem(corpus.C4))
+    rep = aut_report(problem(corpus.C4))
     assert len(rep.lifts) == 2
 
 
 def test_aut_lifts_c6():
     hom = solve_hom_lifts(problem(corpus.C6))
-    aut = solve_aut_lifts(problem(corpus.C6))
+    aut = aut_report(problem(corpus.C6))
     assert len(hom.lifts) == 3
     assert len(aut.lifts) == 2
     x = corpus.build(corpus.C6)[2].generator(0)
@@ -160,16 +166,16 @@ def test_dependent_generators_rejected():
         (parse_word("x^2", pres.names), parse_word("x^2", pres.names))
     )
     with pytest.raises(DependentCentralGenerators):
-        LiftProblem.build(pres, engine, central, identity_spec(pres))
+        LiftContext(pres, engine, central)
 
 
 def test_trivial_central_subgroup():
     pres, _, engine, _ = corpus.build(corpus.C4)
     central = CentralSubgroupSpec((parse_word("x^4", pres.names),))
     spec = QuotientAutSpec((parse_word("x^3", pres.names),))
-    prob = LiftProblem.build(pres, engine, central, spec)
+    prob = LiftContext(pres, engine, central).problem(spec)
     hom = solve_hom_lifts(prob)
-    aut = solve_aut_lifts(prob)
+    aut = solve_aut_lifts(prob, hom)
     assert len(hom.lifts) == len(aut.lifts) == 1
     assert hom.lifts[0].endo.images[0] == engine.power(engine.generator(0), 3)
 
@@ -181,8 +187,9 @@ def test_representative_independence():
     shifted = QuotientAutSpec(
         (concat(base.rep_words[0], central.z_words[0]),)
     )
-    rep1 = solve_hom_lifts(LiftProblem.build(pres, engine, central, base))
-    rep2 = solve_hom_lifts(LiftProblem.build(pres, engine, central, shifted))
+    context = LiftContext(pres, engine, central)
+    rep1 = solve_hom_lifts(context.problem(base))
+    rep2 = solve_hom_lifts(context.problem(shifted))
     assert image_keys(rep1) == image_keys(rep2)
 
 
@@ -190,8 +197,9 @@ def test_representative_independence():
 def test_fiber_uniformity(name, text):
     pres, central, engine, n_elements = corpus.build(text)
     counts = set()
+    context = LiftContext(pres, engine, central)
     for spec in oracle.bf_quotient_auts(pres, engine, n_elements):
-        prob = LiftProblem.build(pres, engine, central, spec)
+        prob = context.problem(spec)
         count = len(solve_hom_lifts(prob).lifts)
         if count:
             counts.add(count)
@@ -202,7 +210,7 @@ def test_aut_equals_filtered_hom():
     for text in (corpus.C6, corpus.C6_FULL, corpus.Q8, corpus.C2C2C4_AB):
         prob = problem(text)
         hom = solve_hom_lifts(prob)
-        aut = solve_aut_lifts(prob)
+        aut = solve_aut_lifts(prob, hom)
         filtered = sorted(
             lift.endo.key() for lift in hom.lifts if lift.automorphic
         )
@@ -210,21 +218,21 @@ def test_aut_equals_filtered_hom():
 
 
 def test_aut_report_targets_cyclic():
-    rep = solve_aut_lifts(problem(corpus.C6))
+    rep = aut_report(problem(corpus.C6))
     # #N = 3 is prime: p - 1 = 2 targets
     assert len(rep.targets) == 2
     assert rep.extended_matrix.rows == rep.matrix.rows + 1
 
 
 def test_aut_report_targets_non_prime_power():
-    rep = solve_aut_lifts(problem(corpus.C6_FULL))
+    rep = aut_report(problem(corpus.C6_FULL))
     # units mod 6: one target per admissible image of z
     assert len(rep.targets) == 2
     assert sum(t.count for t in rep.targets) == len(rep.lifts)
 
 
 def test_aut_report_targets_non_cyclic():
-    rep = solve_aut_lifts(problem(corpus.C2C2C4_AB))
+    rep = aut_report(problem(corpus.C2C2C4_AB))
     # ordered pairs of distinct involutions generating C2 x C2
     assert len(rep.targets) == 6
     assert rep.extended_matrix.rows == rep.matrix.rows + 2
@@ -237,3 +245,21 @@ def test_report_to_dict_shape():
     assert payload["lift_count"] == 2
     assert payload["lifts"][0]["images"] == ["x"]
     assert payload["lifts"][1]["images"] == ["x^-1"]
+
+
+@pytest.mark.parametrize("name,text", corpus.CORPUS)
+def test_shared_context_matches_fresh_build(name, text):
+    # one context answering every phi in turn gives the reports that a
+    # fresh context per phi gives, so nothing carries over between phis
+    pres, central, engine, n_elements = corpus.build(text)
+    shared = LiftContext(pres, engine, central)
+    for spec in oracle.bf_quotient_auts(pres, engine, n_elements):
+        dicts = []
+        for prob in (
+            shared.problem(spec),
+            LiftProblem.build(LiftContext(pres, engine, central), spec),
+        ):
+            hom = solve_hom_lifts(prob)
+            aut = solve_aut_lifts(prob, hom)
+            dicts.append((report_to_dict(prob, hom), report_to_dict(prob, aut)))
+        assert dicts[0] == dicts[1]

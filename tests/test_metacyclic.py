@@ -113,7 +113,7 @@ def test_witness_psi_fixes_center_setwise(case_study):
 
 def test_aut_quotient_lifts_match_oracle(case_study):
     # 3 homomorphic = 3 automorphic lifts per phi, on both solver and oracle
-    from centrallift.lifting import LiftProblem
+    from centrallift.lifting import LiftContext
     from centrallift.presentation import CentralSubgroupSpec
     from centrallift.words import FreeWord
 
@@ -121,9 +121,9 @@ def test_aut_quotient_lifts_match_oracle(case_study):
     central = CentralSubgroupSpec((FreeWord(((2, case_study.cfg.p - 1),)),))
     specs = oracle.bf_quotient_auts(case_study.pres_a, a, case_study.center)
     assert len(specs) == case_study.surjectivity.quotient_aut_count
+    context = LiftContext(case_study.pres_a, a, central)
     for spec in specs:
-        prob = LiftProblem.build(case_study.pres_a, a, central, spec)
-        rep = oracle.compare(prob)
+        rep = oracle.compare(context.problem(spec))
         assert rep.solver_hom_count == 3
         assert rep.solver_aut_count == 3
 

@@ -11,7 +11,11 @@ from centrallift.modlinalg import (
     smith,
     solve,
 )
-from linalg_oracle import laplace_det
+from linalg_oracle import laplace_det, matmul, seeded_systems
+
+
+def solve_system(matrix, rhs, modulus):
+    return solve(LinearSystem(matrix, rhs, modulus), smith(matrix))
 
 
 def minor_gcd_diagonal(matrix: IntMatrix):
@@ -57,7 +61,8 @@ def test_smith_worked_example():
     dec = smith(m)
     assert dec.diagonal() == (1, 25)
     assert minor_gcd_diagonal(m) == [1, 25]
-    assert dec.U.mul(m).mul(dec.V).entries == dec.D.entries
+    product = matmul(matmul(dec.U.to_rows(), m.to_rows()), dec.V.to_rows())
+    assert product == dec.D.to_rows()
 
 
 def test_smith_zero_matrix():
@@ -72,19 +77,19 @@ def test_smith_deterministic():
 
 
 def test_solve_all_residues():
-    s = solve(LinearSystem(IntMatrix.from_rows([[4]]), (0,), 2))
+    s = solve_system(IntMatrix.from_rows([[4]]), (0,), 2)
     assert s.solvable and s.count == 2
     assert enumerate_solutions(s) == [(0,), (1,)]
 
 
 def test_solve_identity_system():
-    s = solve(LinearSystem(IntMatrix.identity(2), (3, 5), 7))
+    s = solve_system(IntMatrix.identity(2), (3, 5), 7)
     assert s.solvable and s.count == 1
     assert enumerate_solutions(s) == [(3, 5)]
 
 
 def test_solve_parity_obstruction():
-    s = solve(LinearSystem(IntMatrix.from_rows([[2]]), (1,), 4))
+    s = solve_system(IntMatrix.from_rows([[2]]), (1,), 4)
     assert not s.solvable
     assert s.count == 0
     assert enumerate_solutions(s) == []
@@ -97,7 +102,7 @@ def test_linear_system_rejects_non_positive_modulus():
 
 
 def test_modulus_one_degenerate():
-    s = solve(LinearSystem(IntMatrix.from_rows([[5, 7]]), (3,), 1))
+    s = solve_system(IntMatrix.from_rows([[5, 7]]), (3,), 1)
     assert s.solvable and s.count == 1
     assert enumerate_solutions(s) == [(0, 0)]
 
@@ -114,7 +119,8 @@ def test_smith_properties_random():
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
         m = _random_matrix(rng, rows, cols)
         dec = smith(m)
-        assert dec.U.mul(m).mul(dec.V).entries == dec.D.entries
+        product = matmul(matmul(dec.U.to_rows(), m.to_rows()), dec.V.to_rows())
+        assert product == dec.D.to_rows()
         assert abs(laplace_det(dec.U.to_rows())) == 1
         assert abs(laplace_det(dec.V.to_rows())) == 1
         d = [x for x in dec.diagonal() if x]
@@ -135,7 +141,7 @@ def test_solve_counts_match_brute_force():
         m = _random_matrix(rng, rows, cols)
         modulus = rng.randint(2, 12)
         w = tuple(rng.randint(-9, 9) for _ in range(rows))
-        s = solve(LinearSystem(m, w, modulus))
+        s = solve_system(m, w, modulus)
         assert s.count == brute_count(m, w, modulus)
         if s.solvable:
             sols = enumerate_solutions(s)
@@ -159,7 +165,21 @@ def test_solution_sets_are_kernel_cosets():
         v1 = [rng.randrange(modulus) for _ in range(cols)]
         w0 = tuple(x % modulus for x in m.mulvec(v0))
         w1 = tuple(x % modulus for x in m.mulvec(v1))
-        s0 = solve(LinearSystem(m, w0, modulus))
-        s1 = solve(LinearSystem(m, w1, modulus))
+        dec = smith(m)
+        s0 = solve(LinearSystem(m, w0, modulus), dec)
+        s1 = solve(LinearSystem(m, w1, modulus), dec)
         assert s0.solvable and s1.solvable
         assert s0.count == s1.count
+
+
+def test_smith_diagonal_matches_sympy():
+    # an independent Smith normal form on acceptance criterion 6's matrices
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+
+    for rows, _, _ in seeded_systems():
+        theirs = smith_normal_form(sympy.Matrix(rows), domain=sympy.ZZ)
+        mine = smith(IntMatrix.from_rows(rows)).diagonal()
+        assert [abs(d) for d in mine] == [
+            abs(theirs[i, i]) for i in range(len(mine))
+        ], rows

@@ -2,7 +2,7 @@ import pytest
 
 import corpus
 from centrallift import engines, lifting, oracle
-from centrallift.lifting import LiftProblem
+from centrallift.lifting import LiftContext
 from centrallift.presentation import QuotientAutSpec, parse_presentation
 from centrallift.words import FreeWord
 
@@ -13,7 +13,7 @@ def identity_spec(pres):
 
 def problem(text):
     pres, central, engine, _ = corpus.build(text)
-    return LiftProblem.build(pres, engine, central, identity_spec(pres))
+    return LiftContext(pres, engine, central).problem(identity_spec(pres))
 
 
 def test_bf_hom_lifts_c4():
@@ -109,8 +109,9 @@ def test_bf_quotient_auts_words_represent_automorphisms():
     pres, _, engine, n_elements = corpus.build(corpus.C2C2C4_AC2)
     specs = oracle.bf_quotient_auts(pres, engine, n_elements)
     q = engines.quotient_engine(engine, n_elements)
+    n_words = engines.subgroup_generator_words(engine, n_elements)
     for spec in specs:
-        check_quotient_aut_on(spec, pres, engine, q, n_elements)
+        check_quotient_aut_on(spec, pres, engine, q, n_words)
     # distinct induced maps
     gens = [engine.generator(i) for i in range(pres.n)]
     from centrallift.words import evaluate
@@ -127,9 +128,9 @@ def test_bf_quotient_auts_words_represent_automorphisms():
 @pytest.mark.parametrize("name,text", corpus.CORPUS)
 def test_compare_corpus(name, text):
     pres, central, engine, n_elements = corpus.build(text)
+    context = LiftContext(pres, engine, central)
     for spec in oracle.bf_quotient_auts(pres, engine, n_elements):
-        prob = LiftProblem.build(pres, engine, central, spec)
-        report = oracle.compare(prob)
+        report = oracle.compare(context.problem(spec))
         assert report.match
 
 
@@ -137,8 +138,8 @@ def test_compare_detects_injected_bug(monkeypatch):
     prob = problem(corpus.C6)
     real = lifting.solve_aut_lifts
 
-    def broken(problem):
-        report = real(problem)
+    def broken(problem, hom):
+        report = real(problem, hom)
         return lifting.LiftReport(
             kind=report.kind,
             matrix=report.matrix,
@@ -163,8 +164,9 @@ def test_aut_group_times_fiber_counts_lifted_endos():
     specs = oracle.bf_quotient_auts(pres, engine, n_elements)
     all_lifts = set()
     per_phi = []
+    context = LiftContext(pres, engine, central)
     for spec in specs:
-        prob = LiftProblem.build(pres, engine, central, spec)
+        prob = context.problem(spec)
         lifts = oracle.bf_hom_lifts(prob)
         per_phi.append(len(lifts))
         all_lifts.update(lifts)

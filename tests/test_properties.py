@@ -18,10 +18,13 @@ configuration.set_hypothesis_home_dir(os.devnull)
 
 
 @st.composite
-def cyclic_central_quotients(draw) -> str:
-    """C_a x C_b modulo a nontrivial <x^i*y^j>, or a dihedral group of
-    order 2n modulo the trivial subgroup or its centre <r^(n/2)>."""
-    if draw(st.booleans()):
+def central_quotients(draw) -> str:
+    """C_a x C_b modulo a nontrivial <x^i*y^j>; a dihedral group of order
+    2n modulo the trivial subgroup or its centre <r^(n/2)>; the Heisenberg
+    group mod p (p in {2, 3}) modulo its centre <z>; or the metacyclic
+    group <x, y | x^9, y^3, y^-1*x*y*x^-4> of order 27 modulo <x^3>."""
+    family = draw(st.sampled_from(("abelian", "dihedral", "heisenberg", "metacyclic")))
+    if family == "abelian":
         a, b = draw(st.integers(2, 8)), draw(st.integers(2, 8))
         k = draw(st.integers(1, a * b - 1))
         i, j = k % a, k // a
@@ -29,16 +32,28 @@ def cyclic_central_quotients(draw) -> str:
             f"generators: x y\nrelator: x^{a}\nrelator: y^{b}\n"
             f"relator: x^-1*y^-1*x*y\ncentral: x^{i}*y^{j}\n"
         )
-    n = draw(st.integers(2, 8))
-    central = draw(st.sampled_from(["1", f"r^{n // 2}"] if n % 2 == 0 else ["1"]))
+    if family == "dihedral":
+        n = draw(st.integers(2, 8))
+        central = draw(st.sampled_from(["1", f"r^{n // 2}"] if n % 2 == 0 else ["1"]))
+        return (
+            f"generators: r s\nrelator: r^{n}\nrelator: s^2\nrelator: s*r*s*r\n"
+            f"central: {central}\n"
+        )
+    if family == "heisenberg":
+        p = draw(st.sampled_from((2, 3)))
+        return (
+            f"generators: x y z\nrelator: x^{p}\nrelator: y^{p}\nrelator: z^{p}\n"
+            "relator: x^-1*y^-1*x*y*z^-1\nrelator: x^-1*z^-1*x*z\n"
+            "relator: y^-1*z^-1*y*z\ncentral: z\n"
+        )
     return (
-        f"generators: r s\nrelator: r^{n}\nrelator: s^2\nrelator: s*r*s*r\n"
-        f"central: {central}\n"
+        "generators: x y\nrelator: x^9\nrelator: y^3\nrelator: y^-1*x*y*x^-4\n"
+        "central: x^3\n"
     )
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
-@given(cyclic_central_quotients())
+@given(central_quotients())
 def test_solver_matches_oracle_on_generated_groups(text):
     pres, _, engine, n_elements = corpus.build(text)
     hom_counts = set()
