@@ -55,13 +55,14 @@ INPUT_ERRORS = (
     metacyclic.InvalidConfig,
 )
 
-# A failed internal cross-check: exit 4.
+# A failed internal cross-check or invariant: exit 4.  AssertionError
+# covers metacyclic.VerificationFailed and the engines' invariants.
 INTERNAL_ERRORS = (
     lifting.SolverConsistencyError,
     lifting.CriterionMismatch,
     lifting.NotASolution,
     metacyclic.SearchFailed,
-    metacyclic.VerificationFailed,
+    AssertionError,
 )
 
 
@@ -145,9 +146,7 @@ def cmd_verify(args) -> int:
     if args.phi:
         specs = [parse_quotient_aut(_read(args.phi), context.pres)]
     else:
-        specs = oracle.bf_quotient_auts(
-            context.pres, context.engine, context.n_elements, budget=args.aut_budget
-        )
+        specs = oracle.bf_quotient_auts(context, budget=args.aut_budget)
     results = []
     try:
         for spec in specs:

@@ -136,8 +136,7 @@ class AutParams:
         return (self.x1, self.x2, self.x3)
 
 
-def build_group(cfg: CaseStudyConfig) -> PermutationEngine:
-    pres = metacyclic_presentation(cfg)
+def build_group(cfg: CaseStudyConfig, pres: Presentation) -> PermutationEngine:
     engine = engines.todd_coxeter(pres, max_cosets=50 * cfg.group_order)
     _require(engine.order() == cfg.group_order, "group order mismatch")
     return engine
@@ -153,7 +152,7 @@ def _conjugation_map(engine: PermutationEngine, g: Element) -> tuple[int, ...]:
 
 
 def build_aut_A(
-    cfg: CaseStudyConfig, g_engine: PermutationEngine | None = None
+    cfg: CaseStudyConfig, pres_g: Presentation, g_engine: PermutationEngine
 ) -> tuple[PermutationEngine, AutParams]:
     """Aut(G) as a composition engine, generated by the fitted triple.
 
@@ -164,9 +163,6 @@ def build_aut_A(
     among elements of maximal order (p-1)p^(n-2).
     """
     p, n = cfg.p, cfg.n
-    if g_engine is None:
-        g_engine = build_group(cfg)
-    pres_g = metacyclic_presentation(cfg)
     auts = oracle.bf_automorphism_group(pres_g, g_engine)
     _require(auts.order == cfg.aut_order, "automorphism group order mismatch")
 
@@ -344,18 +340,17 @@ def verify_commutator_structure(
     a_engine: PermutationEngine,
     params: AutParams,
     center: tuple[Element, ...],
+    k_elems: set[Element],
 ) -> None:
     """K = <x1,x2> facts: Z(K) = Z cap K and K cap Z = <[x1,x2]> = <z^(p^(n-3))>."""
-    k_set = engines.subgroup_closure(a_engine, (params.x1, params.x2))
-    k_elems = set(k_set)
     center_set = set(center)
-    z_cap_k = {el for el in k_set if el in center_set}
+    z_cap_k = {el for el in k_elems if el in center_set}
     z_of_k = {
         el
-        for el in k_set
+        for el in k_elems
         if all(
             a_engine.multiply(el, other) == a_engine.multiply(other, el)
-            for other in k_set
+            for other in k_elems
         )
     }
     _require(z_of_k == z_cap_k, "Z(K) != Z cap K")
@@ -418,10 +413,9 @@ class SurjectivityReport:
 
 def verify_pi_surjective(
     cfg: CaseStudyConfig,
-    a_engine: PermutationEngine,
     params: AutParams,
-    pres_a: Presentation,
-    center: tuple[Element, ...],
+    context: LiftContext,
+    k_elems: set[Element],
 ) -> SurjectivityReport:
     """Every phi in Aut(A/Z) lifts to exactly p^(n-3) automorphisms of A.
 
@@ -431,10 +425,8 @@ def verify_pi_surjective(
     """
     p, n = cfg.p, cfg.n
     fiber = p ** (n - 3)
-    context = LiftContext(pres_a, a_engine, _central_spec(cfg))
-    phis = oracle.bf_quotient_auts(pres_a, a_engine, center)
-    k_elems = set(engines.subgroup_closure(a_engine, (params.x1, params.x2)))
-    all_automorphic = True
+    a_engine = context.engine
+    phis = oracle.bf_quotient_auts(context)
     for spec in phis:
         adjusted = _adjust_into_k(cfg, a_engine, params, spec, k_elems)
         problem = context.problem(adjusted)
@@ -452,12 +444,13 @@ def verify_pi_surjective(
             len(report.lifts) == fiber,
             f"phi has {len(report.lifts)} homomorphic lifts, expected {fiber}",
         )
-        if not all(lift.automorphic for lift in report.lifts):
-            all_automorphic = False
-    _require(all_automorphic, "a homomorphic lift failed to be automorphic")
+        _require(
+            all(lift.automorphic for lift in report.lifts),
+            "a homomorphic lift failed to be automorphic",
+        )
     # the config already gates |A|, so allow the full |A|^3 candidate space
     aut_a = oracle.bf_automorphism_group(
-        pres_a, a_engine, budget=max(oracle.DEFAULT_AUT_BUDGET, a_engine.order() ** 3)
+        context.pres, a_engine, budget=max(oracle.DEFAULT_AUT_BUDGET, a_engine.order() ** 3)
     )
     _require(
         aut_a.order == fiber * len(phis),
@@ -466,7 +459,7 @@ def verify_pi_surjective(
     return SurjectivityReport(
         quotient_aut_count=len(phis),
         lifts_per_phi=fiber,
-        all_automorphic=all_automorphic,
+        all_automorphic=True,
         aut_of_a_count=aut_a.order,
     )
 
@@ -480,12 +473,7 @@ class WitnessReport:
 
 
 def noncharacteristic_witness(
-    cfg: CaseStudyConfig,
-    a_engine: PermutationEngine,
-    params: AutParams,
-    pres_a: Presentation,
-    center: tuple[Element, ...],
-    inner: tuple[Element, ...],
+    params: AutParams, context: LiftContext, inner: tuple[Element, ...]
 ) -> WitnessReport:
     """The map (x1,x2,x3) -> (x2^(a^-1), x1^a, x3^-1) on A/Z lifts to an
     automorphism of A that moves Inn(G); hence Inn(G) is not characteristic."""
@@ -496,10 +484,10 @@ def noncharacteristic_witness(
             FreeWord(((2, -1),)),
         )
     )
-    context = LiftContext(pres_a, a_engine, _central_spec(cfg))
     problem = context.problem(phi)  # validates phi
 
-    quotient = problem.quotient
+    a_engine, center = context.engine, context.n_elements
+    quotient = context.quotient
     iz = set(engines.subgroup_closure(a_engine, tuple(inner) + tuple(center)))
     iz_q = {quotient.project(el) for el in iz}
     phi_images = [quotient.project(x) for x in problem.xbar]
@@ -573,14 +561,17 @@ class CaseStudyResult:
 def run_case_study(cfg: CaseStudyConfig) -> CaseStudyResult:
     """Full pipeline; raises VerificationFailed on any failed check."""
     pres_g = metacyclic_presentation(cfg)
-    g_engine = build_group(cfg)
-    a_engine, params = build_aut_A(cfg, g_engine)
+    g_engine = build_group(cfg, pres_g)
+    a_engine, params = build_aut_A(cfg, pres_g, g_engine)
     pres_a = aut_presentation(cfg.p, cfg.n, params.a, params.a_inv, params.j, params.k)
     center = verify_center(cfg, a_engine, params)
     inner = verify_inner(cfg, g_engine, a_engine, params)
-    verify_commutator_structure(cfg, a_engine, params, center)
+    k_elems = set(engines.subgroup_closure(a_engine, (params.x1, params.x2)))
+    verify_commutator_structure(cfg, a_engine, params, center, k_elems)
 
-    quotient = engines.quotient_engine(a_engine, center)
+    # built only now, so the exhaustive centre check above fails first
+    context = LiftContext(pres_a, a_engine, _central_spec(cfg))
+    quotient = context.quotient
     quotient_center = [
         el for el in quotient.elements() if engines.is_central(quotient, el)
     ]
@@ -589,8 +580,8 @@ def run_case_study(cfg: CaseStudyConfig) -> CaseStudyResult:
         "|A/Z| mismatch",
     )
 
-    surjectivity = verify_pi_surjective(cfg, a_engine, params, pres_a, center)
-    witness = noncharacteristic_witness(cfg, a_engine, params, pres_a, center, inner)
+    surjectivity = verify_pi_surjective(cfg, params, context, k_elems)
+    witness = noncharacteristic_witness(params, context, inner)
     return CaseStudyResult(
         cfg=cfg,
         pres_g=pres_g,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from . import engines, lifting
 from .engines import Element, GroupEngine
-from .lifting import Endomorphism, LiftProblem
+from .lifting import Endomorphism, LiftContext, LiftProblem
 from .presentation import Presentation, QuotientAutSpec
 from .words import evaluate, format_word
 
@@ -178,20 +178,17 @@ def bf_automorphism_group(
 
 
 def bf_quotient_auts(
-    pres: Presentation,
-    engine: GroupEngine,
-    n_elements,
-    budget: int = DEFAULT_AUT_BUDGET,
+    context: LiftContext, budget: int = DEFAULT_AUT_BUDGET
 ) -> list[QuotientAutSpec]:
     """One representative-word spec per element of Aut(G/N).
 
     The quotient is presented by the relators of G plus words for the
-    generators of N; its automorphisms are enumerated brute force and
-    re-expressed as shortest representative words, reusable as G-words.
+    generators of N, and searched on the context's quotient engine; only
+    G/N is read from the context, none of its matrices.  Each automorphism
+    is re-expressed as shortest representative words, reusable as G-words.
     """
-    quotient = engines.quotient_engine(engine, n_elements)
-    extra = engines.subgroup_generator_words(engine, n_elements)
-    qpres = Presentation(pres.names, pres.relators + tuple(extra))
+    pres, quotient = context.pres, context.quotient
+    qpres = Presentation(pres.names, pres.relators + tuple(context.n_words))
     table = bf_automorphism_group(qpres, quotient, budget)
     specs = []
     for endo in table.automorphisms:

@@ -6,7 +6,7 @@ central: section, so the same string feeds both the API and the CLI.
 
 from functools import lru_cache
 
-from centrallift import engines, lifting
+from centrallift import engines
 from centrallift.presentation import parse_presentation_file
 from centrallift.words import evaluate
 
@@ -115,8 +115,3 @@ def build(text: str):
     z_elements = tuple(evaluate(w, gens, engine) for w in central.z_words)
     n_elements = engines.subgroup_closure(engine, z_elements)
     return pres, central, engine, n_elements
-
-
-def problem_for(text: str, phi_spec) -> lifting.LiftProblem:
-    pres, central, engine, _ = build(text)
-    return lifting.LiftContext(pres, engine, central).problem(phi_spec)

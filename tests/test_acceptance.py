@@ -54,9 +54,9 @@ def test_criterion_3_noncharacteristic_witness(case_study):
 def test_criterion_4_solver_oracle_equivalence():
     total_phis = 0
     for name, text in corpus.CORPUS:
-        pres, central, engine, n_elements = corpus.build(text)
+        pres, central, engine, _ = corpus.build(text)
         context = LiftContext(pres, engine, central)
-        for spec in oracle.bf_quotient_auts(pres, engine, n_elements):
+        for spec in oracle.bf_quotient_auts(context):
             prob = context.problem(spec)
             assert oracle.compare(prob).match, name
             total_phis += 1
@@ -73,7 +73,7 @@ def test_criterion_5_squarefree_equivalence():
         if not lifting.is_squarefree(len(n_elements)):
             continue
         context = LiftContext(pres, engine, central)
-        for spec in oracle.bf_quotient_auts(pres, engine, n_elements):
+        for spec in oracle.bf_quotient_auts(context):
             prob = context.problem(spec)
             hom_exists = bool(oracle.bf_hom_lifts(prob))
             aut_exists = bool(oracle.bf_aut_lifts(prob))

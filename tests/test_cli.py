@@ -3,7 +3,7 @@ import json
 import pytest
 
 import corpus
-from centrallift import cli, lifting, modlinalg
+from centrallift import cli, engines, lifting, modlinalg
 
 
 def write(tmp_path, name, text):
@@ -186,6 +186,28 @@ def test_verify_decomposes_each_matrix_once(tmp_path, capsys, monkeypatch):
     assert len(calls) <= 2
 
 
+def test_verify_builds_the_quotient_once(tmp_path, capsys, monkeypatch):
+    # the oracle's Aut(G/N) search reads G/N and N's generator words from
+    # the verify command's LiftContext instead of building its own
+    pres = write(tmp_path, "heis.grp", corpus.HEISENBERG)
+    calls = []
+
+    def counting(name):
+        real = getattr(engines, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+
+        return wrapper
+
+    for name in ("quotient_engine", "subgroup_generator_words"):
+        monkeypatch.setattr(engines, name, counting(name))
+    assert cli.main(["verify", pres]) == 0
+    assert json.loads(capsys.readouterr().out)["phi_count"] == 48
+    assert sorted(calls) == ["quotient_engine", "subgroup_generator_words"]
+
+
 def test_internal_error_exit_4(tmp_path, capsys, monkeypatch):
     pres = write(tmp_path, "c6.grp", corpus.C6)
 
@@ -196,6 +218,19 @@ def test_internal_error_exit_4(tmp_path, capsys, monkeypatch):
     assert cli.main(["verify", pres]) == 4
     err = capsys.readouterr().err
     assert err == "internal error: SolverConsistencyError: injected\n"
+
+
+def test_internal_assertion_exit_4(tmp_path, capsys, monkeypatch):
+    # an engine invariant (raise AssertionError) is an internal error too
+    pres = write(tmp_path, "c6.grp", corpus.C6)
+
+    def broken(engine, n_elements):
+        raise AssertionError("injected")
+
+    monkeypatch.setattr(engines, "quotient_engine", broken)
+    assert cli.main(["verify", pres]) == 4
+    err = capsys.readouterr().err
+    assert err == "internal error: AssertionError: injected\n"
 
 
 def test_bad_input_still_exit_1(tmp_path, capsys):

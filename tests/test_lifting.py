@@ -195,10 +195,10 @@ def test_representative_independence():
 
 @pytest.mark.parametrize("name,text", corpus.CORPUS)
 def test_fiber_uniformity(name, text):
-    pres, central, engine, n_elements = corpus.build(text)
+    pres, central, engine, _ = corpus.build(text)
     counts = set()
     context = LiftContext(pres, engine, central)
-    for spec in oracle.bf_quotient_auts(pres, engine, n_elements):
+    for spec in oracle.bf_quotient_auts(context):
         prob = context.problem(spec)
         count = len(solve_hom_lifts(prob).lifts)
         if count:
@@ -251,9 +251,9 @@ def test_report_to_dict_shape():
 def test_shared_context_matches_fresh_build(name, text):
     # one context answering every phi in turn gives the reports that a
     # fresh context per phi gives, so nothing carries over between phis
-    pres, central, engine, n_elements = corpus.build(text)
+    pres, central, engine, _ = corpus.build(text)
     shared = LiftContext(pres, engine, central)
-    for spec in oracle.bf_quotient_auts(pres, engine, n_elements):
+    for spec in oracle.bf_quotient_auts(shared):
         dicts = []
         for prob in (
             shared.problem(spec),

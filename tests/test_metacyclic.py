@@ -83,8 +83,10 @@ def test_conjugation_by_identity_is_identity(case_study):
 
 def test_commutator_structure(case_study):
     # re-run the K checks explicitly (they also run inside the pipeline)
+    a, params = case_study.a_engine, case_study.params
+    k_elems = set(engines.subgroup_closure(a, (params.x1, params.x2)))
     metacyclic.verify_commutator_structure(
-        case_study.cfg, case_study.a_engine, case_study.params, case_study.center
+        case_study.cfg, a, params, case_study.center, k_elems
     )
 
 
@@ -114,14 +116,12 @@ def test_witness_psi_fixes_center_setwise(case_study):
 def test_aut_quotient_lifts_match_oracle(case_study):
     # 3 homomorphic = 3 automorphic lifts per phi, on both solver and oracle
     from centrallift.lifting import LiftContext
-    from centrallift.presentation import CentralSubgroupSpec
-    from centrallift.words import FreeWord
 
-    a = case_study.a_engine
-    central = CentralSubgroupSpec((FreeWord(((2, case_study.cfg.p - 1),)),))
-    specs = oracle.bf_quotient_auts(case_study.pres_a, a, case_study.center)
+    central = metacyclic._central_spec(case_study.cfg)
+    context = LiftContext(case_study.pres_a, case_study.a_engine, central)
+    assert context.n_elements == case_study.center
+    specs = oracle.bf_quotient_auts(context)
     assert len(specs) == case_study.surjectivity.quotient_aut_count
-    context = LiftContext(case_study.pres_a, a, central)
     for spec in specs:
         rep = oracle.compare(context.problem(spec))
         assert rep.solver_hom_count == 3
@@ -137,3 +137,25 @@ def test_result_dict_roundtrip(case_study):
     assert payload["lifts_per_phi"] == 3
     assert payload["inner_not_characteristic"] is True
     assert payload["aut_of_aut_order"] == 3 * payload["quotient_aut_count"]
+
+
+def test_case_study_builds_one_context(monkeypatch):
+    # A/Z, its quotient engine and M's Smith form are built once, by the one
+    # LiftContext shared by the surjectivity check, the oracle and the witness
+    real_context, real_quotient = metacyclic.LiftContext, engines.quotient_engine
+    contexts, quotients = [], []
+
+    def counting_context(*args):
+        contexts.append(args)
+        return real_context(*args)
+
+    def counting_quotient(*args):
+        quotients.append(args)
+        return real_quotient(*args)
+
+    monkeypatch.setattr(metacyclic, "LiftContext", counting_context)
+    monkeypatch.setattr(engines, "quotient_engine", counting_quotient)
+    result = metacyclic.run_case_study(CaseStudyConfig(3, 4))
+    assert result.quotient_order == 18
+    assert len(contexts) == 1
+    assert len(quotients) == 1

@@ -94,12 +94,15 @@ def test_aut_table_is_a_group():
         assert tuple(inverse) in maps
 
 
-def test_bf_quotient_auts_counts():
-    pres, _, engine, n_elements = corpus.build(corpus.C4)
-    assert len(oracle.bf_quotient_auts(pres, engine, n_elements)) == 1
+def context_for(text):
+    pres, central, engine, _ = corpus.build(text)
+    return LiftContext(pres, engine, central)
 
-    pres, _, engine, n_elements = corpus.build(corpus.HEISENBERG)
-    specs = oracle.bf_quotient_auts(pres, engine, n_elements)
+
+def test_bf_quotient_auts_counts():
+    assert len(oracle.bf_quotient_auts(context_for(corpus.C4))) == 1
+
+    specs = oracle.bf_quotient_auts(context_for(corpus.HEISENBERG))
     assert len(specs) == 48  # |GL_2(F_3)|
 
 
@@ -107,7 +110,7 @@ def test_bf_quotient_auts_words_represent_automorphisms():
     from centrallift.presentation import check_quotient_aut_on
 
     pres, _, engine, n_elements = corpus.build(corpus.C2C2C4_AC2)
-    specs = oracle.bf_quotient_auts(pres, engine, n_elements)
+    specs = oracle.bf_quotient_auts(context_for(corpus.C2C2C4_AC2))
     q = engines.quotient_engine(engine, n_elements)
     n_words = engines.subgroup_generator_words(engine, n_elements)
     for spec in specs:
@@ -127,9 +130,9 @@ def test_bf_quotient_auts_words_represent_automorphisms():
 
 @pytest.mark.parametrize("name,text", corpus.CORPUS)
 def test_compare_corpus(name, text):
-    pres, central, engine, n_elements = corpus.build(text)
+    pres, central, engine, _ = corpus.build(text)
     context = LiftContext(pres, engine, central)
-    for spec in oracle.bf_quotient_auts(pres, engine, n_elements):
+    for spec in oracle.bf_quotient_auts(context):
         report = oracle.compare(context.problem(spec))
         assert report.match
 
@@ -160,11 +163,11 @@ def test_compare_detects_injected_bug(monkeypatch):
 def test_aut_group_times_fiber_counts_lifted_endos():
     # every endomorphism of G that lifts some phi is counted once per
     # (phi, solution); on the metacyclic fixture all phi lift
-    pres, central, engine, n_elements = corpus.build(corpus.METACYCLIC34)
-    specs = oracle.bf_quotient_auts(pres, engine, n_elements)
+    pres, central, engine, _ = corpus.build(corpus.METACYCLIC34)
+    context = LiftContext(pres, engine, central)
+    specs = oracle.bf_quotient_auts(context)
     all_lifts = set()
     per_phi = []
-    context = LiftContext(pres, engine, central)
     for spec in specs:
         prob = context.problem(spec)
         lifts = oracle.bf_hom_lifts(prob)

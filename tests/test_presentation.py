@@ -174,11 +174,12 @@ def test_validate_quotient_aut_relator_failure():
 def test_validate_oracle_agreement():
     # validate accepts exactly the specs the brute-force quotient list contains
     from centrallift import oracle
+    from centrallift.lifting import LiftContext
 
     pres, central, engine, n_elements = corpus.build(corpus.Q8)
     q = quotient_engine(engine, n_elements)
     n_words = subgroup_generator_words(engine, n_elements)
-    specs = oracle.bf_quotient_auts(pres, engine, n_elements)
+    specs = oracle.bf_quotient_auts(LiftContext(pres, engine, central))
     for spec in specs:
         check_quotient_aut_on(spec, pres, engine, q, n_words)
     assert len(specs) == 6  # Aut(C2 x C2)
