@@ -7,8 +7,8 @@ Commands:
                     automorphisms or a given --phi file
   demo              metacyclic showcase (--p, --n)
 
-Exit codes: 0 success, 1 input/configuration error, 2 no lift exists,
-3 solver/oracle mismatch, 4 internal error (a failed internal
+Exit codes: 0 success, 1 input/configuration or usage error, 2 no lift
+exists, 3 solver/oracle mismatch, 4 internal error (a failed internal
 cross-check: a bug, not bad input).
 """
 
@@ -172,21 +172,28 @@ def cmd_demo(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    # a usage error is bad input (exit 1), not argparse's exit 2, which
+    # would read as "no lift exists"
+    def error(self, message):
+        raise CliError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="centrallift",
         description="Lift automorphisms of central quotients of finitely presented groups.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_files=True):
-        if with_files:
-            p.add_argument("presentation", help="presentation file (with central: lines)")
-        p.add_argument("--max-cosets", type=int, default=50000)
-        p.add_argument("--lift-budget", type=int, default=oracle.DEFAULT_LIFT_BUDGET)
-        p.add_argument("--aut-budget", type=int, default=oracle.DEFAULT_AUT_BUDGET)
+    def output(p):
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--out", default=None, help="write the report to this path")
+
+    def common(p):
+        p.add_argument("presentation", help="presentation file (with central: lines)")
+        p.add_argument("--max-cosets", type=int, default=50000)
+        output(p)
 
     p_solve = sub.add_parser("solve", help="enumerate homomorphic lifts")
     common(p_solve)
@@ -206,22 +213,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="compare solver against the oracle")
     common(p_verify)
     p_verify.add_argument("--phi", default=None, help="check a single image file")
+    p_verify.add_argument("--lift-budget", type=int, default=oracle.DEFAULT_LIFT_BUDGET)
+    p_verify.add_argument("--aut-budget", type=int, default=oracle.DEFAULT_AUT_BUDGET)
     p_verify.set_defaults(func=cmd_verify)
 
     p_demo = sub.add_parser("demo", help="metacyclic non-characteristic showcase")
     p_demo.add_argument("--p", type=int, required=True)
     p_demo.add_argument("--n", type=int, required=True)
     p_demo.add_argument("--order-budget", type=int, default=200)
-    p_demo.add_argument("--format", choices=("json", "text"), default="json")
-    p_demo.add_argument("--out", default=None)
+    output(p_demo)
     p_demo.set_defaults(func=cmd_demo)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

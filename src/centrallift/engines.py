@@ -1,18 +1,15 @@
-"""Concrete finite groups behind a shared engine contract.
+"""Concrete finite groups in one representation: generator steps.
 
-Engines hold an explicit, deterministically ordered element list and hand
-out opaque Element handles (engine + index).  A PermutationEngine stores
-each element as a permutation tuple; it backs three constructions:
-
-  * todd_coxeter: regular action of a finitely presented group,
-  * quotient_engine: regular action of G/N on cosets of a central N,
-  * automorphism groups: automorphisms as permutations of the base
-    group's element indices (composition engines).
-
-Multiplication rows of the Cayley table are materialized lazily, so hot
-loops (oracle searches) run on table lookups instead of tuple
-composition.  Engines are immutable after construction; lazy caches only
-ever add rows, so concurrent readers are safe.
+An engine numbers its elements 0..order-1 (0 is the identity), hands out
+opaque Element handles (engine + index) and stores only the action of
+each generator and its inverse on the indices.  Column j of the Cayley
+table (i -> i*j) is built on first use from the column of j's parent in
+the BFS word tree, so hot loops that multiply by a few fixed elements
+build only their columns.  Engines come from todd_coxeter (the regular
+action on the coset table), quotient_engine (G/N acting on the cosets
+of a normal N) and PermutationEngine (automorphism groups, as sorted
+permutations of the base group's element indices).  Lazy caches only
+ever add columns, so concurrent readers are safe.
 """
 
 from __future__ import annotations
@@ -75,13 +72,19 @@ class Element:
 
 
 class GroupEngine:
-    """Shared index-based implementation of the group-engine contract.
+    """A finite group given by its generator steps on element indices.
 
-    Subclasses fill _gen_indices and implement _mult_index/_inv_index.
+    steps[2g][i] is the index of i*x_g and steps[2g+1][i] the index of
+    i*x_g^-1; index 0 is the identity.
     """
 
-    _order: int
-    _gen_indices: list[int]
+    def __init__(self, order: int, steps: list[list[int]]):
+        self._order = order
+        self._steps = steps
+        self._gen_indices = [step[0] for step in steps[0::2]]
+        self._columns: list[list[int] | None] = [None] * order
+        self._columns[0] = list(range(order))
+        self._tree: tuple[list[int], list[tuple[int, int]], list[int]] | None = None
 
     def check(self, el: Element) -> int:
         if not isinstance(el, Element) or el.engine is not self:
@@ -109,18 +112,26 @@ class GroupEngine:
     def ngens(self) -> int:
         return len(self._gen_indices)
 
+    @property
+    def degree(self) -> int:  # of the permutations perm returns
+        return self._order
+
     def order(self) -> int:
         return self._order
 
     def elements(self) -> list[Element]:
         return [Element(self, i) for i in range(self._order)]
 
+    def perm(self, el: Element) -> tuple[int, ...]:
+        """The right-regular permutation of el: i -> index of i*el."""
+        return tuple(self._column(self.check(el)))
+
     def power(self, a: Element, k: int) -> Element:
         return Element(self, self._power_index(self.check(a), k))
 
     def _power_index(self, idx: int, k: int) -> int:
         """Index of idx**k by square-and-multiply; negative k goes through
-        the inverse.  The last square is skipped, so x^1 touches no row."""
+        the inverse.  The last square is skipped, so x^1 touches no column."""
         if k < 0:
             idx = self._inv_index(idx)
             k = -k
@@ -135,10 +146,51 @@ class GroupEngine:
         return acc
 
     def _mult_index(self, i: int, j: int) -> int:
-        raise NotImplementedError
+        return (self._columns[j] or self._column(j))[i]
 
     def _inv_index(self, i: int) -> int:
-        raise NotImplementedError
+        return self._column(i).index(0)
+
+    def _column(self, j: int) -> list[int]:
+        """Column j of the Cayley table, building the missing columns on
+        j's word-tree path from the nearest built ancestor down; a loop,
+        not recursion, since a cyclic group's tree is order/2 deep."""
+        col = self._columns[j]
+        if col is None:
+            parent, letter, _ = self._word_tree()
+            path = []
+            while col is None:
+                path.append(j)
+                j = parent[j]
+                col = self._columns[j]
+            for k in reversed(path):
+                g, sign = letter[k]
+                step = self._steps[2 * g + (sign < 0)]
+                col = [step[x] for x in col]
+                self._columns[k] = col
+        return col
+
+    # Cayley-graph BFS tree rooted at the identity; edge alphabet is
+    # (gen 0, +1), (gen 0, -1), (gen 1, +1), ... which also fixes the
+    # lexicographic order used for shortest words.
+    def _word_tree(self):
+        if self._tree is None:
+            labels = [(k >> 1, -1 if k & 1 else 1) for k in range(len(self._steps))]
+            parent = [-1] * self._order
+            parent[0] = 0  # the root: no walk up the tree reads it
+            letter: list[tuple[int, int]] = [(-1, 0)] * self._order
+            order = [0]
+            for cur in order:  # grows while it is walked
+                for label, step in zip(labels, self._steps):
+                    nxt = step[cur]
+                    if parent[nxt] == -1:
+                        parent[nxt] = cur
+                        letter[nxt] = label
+                        order.append(nxt)
+            if len(order) != self._order:
+                raise AssertionError("generators do not generate the engine")
+            self._tree = (parent, letter, order)
+        return self._tree
 
 
 def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -147,63 +199,38 @@ def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class PermutationEngine(GroupEngine):
-    """Finite group of permutations of {0..degree-1}.
+    """Finite group of permutations of {0..n-1}, closed from its generators.
 
-    Elements are enumerated at construction (BFS closure of the
-    generators unless an explicit element order is supplied).  Index 0 is
-    always the identity.
+    Elements are numbered in sorted order of their permutation tuples, so
+    index 0 is the identity and the numbering does not depend on the
+    generating set.
     """
 
-    def __init__(
-        self,
-        generator_perms: Sequence[tuple[int, ...]],
-        element_perms: Sequence[tuple[int, ...]] | None = None,
-    ):
-        if not generator_perms and element_perms is None:
+    def __init__(self, generator_perms: Sequence[tuple[int, ...]]):
+        if not generator_perms:
             raise ValueError("need at least one generator permutation")
-        degree = len(generator_perms[0]) if generator_perms else len(element_perms[0])
-        for p in generator_perms:
-            if len(p) != degree or sorted(p) != list(range(degree)):
+        size = len(generator_perms[0])
+        gens = [tuple(p) for p in generator_perms]
+        for p in gens:
+            if len(p) != size or sorted(p) != list(range(size)):
                 raise ValueError("generator is not a permutation of the right degree")
-        self.degree = degree
-        self._gen_perms = [tuple(p) for p in generator_perms]
-
-        identity = tuple(range(degree))
-        closure = self._closure(identity)
-        if element_perms is None:
-            perms = closure
-        else:
-            perms = [tuple(p) for p in element_perms]
-            if set(perms) != set(closure):
-                raise ValueError("given elements do not match the generator closure")
-            if perms[0] != identity:
-                raise ValueError("element order must start at the identity")
-        self._perms = perms
-        self._index = {p: i for i, p in enumerate(perms)}
-        if len(self._index) != len(perms):
-            raise ValueError("duplicate element permutations")
-        self._order = len(perms)
-        self._gen_indices = [self._index[p] for p in self._gen_perms]
-        self._table: list[list[int] | None] = [None] * self._order
-        self._inv: list[int | None] = [None] * self._order
-        self._tree: tuple[list[int], list[tuple[int, int]], list[int]] | None = None
-
-    def _closure(self, identity: tuple[int, ...]) -> list[tuple[int, ...]]:
+        identity = tuple(range(size))
         elems = [identity]
         seen = {identity}
-        pos = 0
-        while pos < len(elems):
-            cur = elems[pos]
-            for g in self._gen_perms:
+        for cur in elems:  # grows while it is walked
+            for g in gens:
                 nxt = _compose(cur, g)
                 if nxt not in seen:
                     seen.add(nxt)
                     elems.append(nxt)
-            pos += 1
-        return elems
-
-    def perm(self, el: Element) -> tuple[int, ...]:
-        return self._perms[self.check(el)]
+        self._perms = sorted(elems)
+        self._index = {p: i for i, p in enumerate(self._perms)}
+        steps = []
+        for g in gens:
+            forward = [self._index[_compose(p, g)] for p in self._perms]
+            backward = sorted(range(len(forward)), key=forward.__getitem__)  # inverse
+            steps += [forward, backward]
+        super().__init__(len(self._perms), steps)
 
     def element_from_perm(self, perm: tuple[int, ...]) -> Element:
         try:
@@ -211,67 +238,40 @@ class PermutationEngine(GroupEngine):
         except KeyError:
             raise NotInSubgroup("permutation is not an element of this engine") from None
 
-    def _mult_index(self, i: int, j: int) -> int:
-        row = self._table[i]
-        if row is None:
-            pi = self._perms[i]
-            index = self._index
-            perms = self._perms
-            row = [index[_compose(pi, perms[k])] for k in range(self._order)]
-            self._table[i] = row
-        return row[j]
 
-    def _inv_index(self, i: int) -> int:
-        inv = self._inv[i]
-        if inv is None:
-            p = self._perms[i]
-            q = [0] * self.degree
-            for a, b in enumerate(p):
-                q[b] = a
-            inv = self._index[tuple(q)]
-            self._inv[i] = inv
-        return inv
+def _regular_steps(
+    npoints: int, actions: list[list[int]]
+) -> tuple[list[int], list[list[int]]]:
+    """Engine steps of a regular action on points 0..npoints-1.
 
-    # Cayley-graph BFS tree rooted at the identity; edge alphabet is
-    # (gen 0, +1), (gen 0, -1), (gen 1, +1), ... which also fixes the
-    # lexicographic order used for shortest words.
-    def _word_tree(self):
-        if self._tree is None:
-            steps = []
-            for g in range(self.ngens):
-                gi = self._gen_indices[g]
-                steps.append((g, 1, gi))
-                steps.append((g, -1, self._inv_index(gi)))
-            parent = [-1] * self._order
-            letter: list[tuple[int, int]] = [(-1, 0)] * self._order
-            order = [0]
-            seen = [False] * self._order
-            seen[0] = True
-            pos = 0
-            while pos < len(order):
-                cur = order[pos]
-                for g, sign, step in steps:
-                    nxt = self._mult_index(cur, step)
-                    if not seen[nxt]:
-                        seen[nxt] = True
-                        parent[nxt] = cur
-                        letter[nxt] = (g, sign)
-                        order.append(nxt)
-                pos += 1
-            if len(order) != self._order:
-                raise AssertionError("generators do not generate the engine")
-            self._tree = (parent, letter, order)
-        return self._tree
+    actions[2g][p] is the image of point p under x_g, actions[2g+1][p]
+    under x_g^-1.  Points are numbered by BFS from point 0 over the
+    generators in order, the order a BFS closure of the generator
+    permutations lists the group elements.  Returns point -> element
+    index, and the steps.
+    """
+    number = [-1] * npoints
+    number[0] = 0
+    points = [0]
+    for p in points:  # grows while it is walked
+        for act in actions[0::2]:
+            q = act[p]
+            if number[q] == -1:
+                number[q] = len(points)
+                points.append(q)
+    if len(points) != npoints:
+        raise AssertionError("regular action order does not match point count")
+    return number, [[number[act[p]] for p in points] for act in actions]
 
 
-def todd_coxeter(presentation: "Presentation", max_cosets: int = 50000) -> PermutationEngine:
+def todd_coxeter(presentation: "Presentation", max_cosets: int = 50000) -> GroupEngine:
     """Enumerate cosets of the trivial subgroup of a finitely presented group.
 
     Scans every relator (plus the generator/inverse cancellation pairs)
     at every live coset, filling the first undefined entry of each gap
     and applying deductions and coincidences immediately; passes repeat
-    until the table is stable.  Returns the regular permutation engine,
-    so the engine order is the group order.
+    until the table is stable.  Returns the engine of the regular action
+    on the cosets, so the engine order is the group order.
 
     Raises CosetLimitExceeded when the number of live cosets passes
     max_cosets: the group may be infinite, or the limit too small.
@@ -397,19 +397,11 @@ def todd_coxeter(presentation: "Presentation", max_cosets: int = 50000) -> Permu
 
     live_list = [c for c in range(len(table)) if find(c) == c]
     renumber = {c: i for i, c in enumerate(live_list)}
-    perms = []
-    for g in range(ngens):
-        images = []
-        for c in live_list:
-            v = table[c][2 * g]
-            if v == -1:
-                raise AssertionError("incomplete coset table after stabilization")
-            images.append(renumber[find(v)])
-        perms.append(tuple(images))
-    engine = PermutationEngine(perms)
-    if engine.order() != len(live_list):
-        raise AssertionError("regular action order does not match coset count")
-    return engine
+    if any(-1 in table[c] for c in live_list):
+        raise AssertionError("incomplete coset table after stabilization")
+    actions = [[renumber[find(table[c][d])] for c in live_list] for d in range(nsyms)]
+    _, steps = _regular_steps(len(live_list), actions)
+    return GroupEngine(len(live_list), steps)
 
 
 def _closure_indices(engine: GroupEngine, seeds: Iterable[Element], limit: int) -> list[int]:
@@ -493,21 +485,16 @@ def central_log_table(
     return table
 
 
-class QuotientEngine(PermutationEngine):
-    """Regular action of G/N for a central (hence normal) subgroup N."""
+class QuotientEngine(GroupEngine):
+    """Regular action of G/N for a normal subgroup N of the parent engine."""
 
-    def __init__(self, parent_engine: GroupEngine, generator_perms, coset_of):
-        super().__init__(generator_perms)
+    def __init__(self, parent_engine: GroupEngine, order: int, steps, image_of):
+        super().__init__(order, steps)
         self.parent = parent_engine
-        self._coset_of = coset_of  # parent element index -> coset point
-        point_to_element = [-1] * self.degree
-        for i, p in enumerate(self._perms):
-            point_to_element[p[0]] = i
-        self._point_to_element = point_to_element
+        self._image_of = image_of  # parent element index -> quotient element index
 
     def project(self, el: Element) -> Element:
-        idx = self.parent.check(el)
-        return Element(self, self._point_to_element[self._coset_of[idx]])
+        return Element(self, self._image_of[self.parent.check(el)])
 
 
 def quotient_engine(engine: GroupEngine, n_elements: Iterable[Element]) -> QuotientEngine:
@@ -540,13 +527,9 @@ def quotient_engine(engine: GroupEngine, n_elements: Iterable[Element]) -> Quoti
         reps.append(i)
         for a in n_idx:
             coset_of[engine._mult_index(i, a)] = point
-    gen_perms = []
-    for g in range(engine.ngens):
-        gi = engine._gen_indices[g]
-        gen_perms.append(
-            tuple(coset_of[engine._mult_index(rep, gi)] for rep in reps)
-        )
-    q = QuotientEngine(engine, gen_perms, coset_of)
+    actions = [[coset_of[step[rep]] for rep in reps] for step in engine._steps]
+    number, steps = _regular_steps(len(reps), actions)
+    q = QuotientEngine(engine, len(reps), steps, [number[c] for c in coset_of])
     if q.order() != order // len(n_idx):
         raise AssertionError("quotient order mismatch")
     return q

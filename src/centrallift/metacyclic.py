@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import engines, lifting, oracle
-from .engines import Element, PermutationEngine
+from .engines import Element, GroupEngine, PermutationEngine
 from .lifting import LiftContext
 from .presentation import CentralSubgroupSpec, Presentation, QuotientAutSpec
 from .words import FreeWord, concat, evaluate, format_word
@@ -136,13 +136,13 @@ class AutParams:
         return (self.x1, self.x2, self.x3)
 
 
-def build_group(cfg: CaseStudyConfig, pres: Presentation) -> PermutationEngine:
+def build_group(cfg: CaseStudyConfig, pres: Presentation) -> GroupEngine:
     engine = engines.todd_coxeter(pres, max_cosets=50 * cfg.group_order)
     _require(engine.order() == cfg.group_order, "group order mismatch")
     return engine
 
 
-def _conjugation_map(engine: PermutationEngine, g: Element) -> tuple[int, ...]:
+def _conjugation_map(engine: GroupEngine, g: Element) -> tuple[int, ...]:
     gi = engine.check(g)
     ginv = engine._inv_index(gi)
     return tuple(
@@ -152,7 +152,7 @@ def _conjugation_map(engine: PermutationEngine, g: Element) -> tuple[int, ...]:
 
 
 def build_aut_A(
-    cfg: CaseStudyConfig, pres_g: Presentation, g_engine: PermutationEngine
+    cfg: CaseStudyConfig, pres_g: Presentation, g_engine: GroupEngine
 ) -> tuple[PermutationEngine, AutParams]:
     """Aut(G) as a composition engine, generated by the fitted triple.
 
@@ -167,7 +167,8 @@ def build_aut_A(
     _require(auts.order == cfg.aut_order, "automorphism group order mismatch")
 
     maps = sorted(auts.maps)
-    seed = PermutationEngine(_greedy_generators(maps), maps)
+    seed = PermutationEngine(_greedy_generators(maps))
+    _require(seed.order() == len(maps), "greedy generators do not close to Aut(G)")
 
     order_of = {
         el.index: engines.element_order(seed, el) for el in seed.elements()
@@ -234,8 +235,11 @@ def build_aut_A(
                         continue
                     if not engines.generates(seed, (x1, x2, x3)):
                         continue
-                    final = PermutationEngine(
-                        [seed.perm(x1), seed.perm(x2), seed.perm(x3)], maps
+                    # both engines number the same maps in sorted order
+                    final = PermutationEngine([maps[x.index] for x in (x1, x2, x3)])
+                    _require(
+                        final.order() == seed.order(),
+                        "fitted triple does not close to Aut(G)",
                     )
                     params = AutParams(
                         x1=final.element(x1.index),
@@ -309,7 +313,7 @@ def verify_center(
 
 def verify_inner(
     cfg: CaseStudyConfig,
-    g_engine: PermutationEngine,
+    g_engine: GroupEngine,
     a_engine: PermutationEngine,
     params: AutParams,
 ) -> tuple[Element, ...]:
@@ -515,7 +519,7 @@ def noncharacteristic_witness(
 class CaseStudyResult:
     cfg: CaseStudyConfig
     pres_g: Presentation
-    g_engine: PermutationEngine
+    g_engine: GroupEngine
     a_engine: PermutationEngine
     params: AutParams
     pres_a: Presentation

@@ -146,6 +146,29 @@ def test_verify_budget_exit_1(tmp_path, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_usage_errors_exit_1(capsys):
+    # argparse alone exits 2, which a script would read as "no lift exists"
+    assert cli.main(["solve"]) == 1
+    assert capsys.readouterr().err.startswith("error: centrallift solve: ")
+    assert cli.main(["demo", "--p", "3"]) == 1
+    assert "--n" in capsys.readouterr().err
+    assert cli.main(["demo", "--p", "x", "--n", "4"]) == 1
+    assert cli.main(["frobnicate"]) == 1
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", "--help"])
+    assert exc.value.code == 0
+
+
+def test_budgets_are_verify_options(c4_files, capsys):
+    # only verify runs the oracle, so only verify takes its budgets
+    pres, phi = c4_files
+    for command in ("solve", "auto"):
+        for flag in ("--lift-budget", "--aut-budget"):
+            assert cli.main([command, pres, phi, flag, "5"]) == 1
+            assert "unrecognized arguments" in capsys.readouterr().err
+    assert cli.main(["verify", pres, "--aut-budget", "100", "--lift-budget", "100"]) == 0
+
+
 def test_demo_rejects_bad_parameters(capsys):
     assert cli.main(["demo", "--p", "2", "--n", "4"]) == 1
     assert "odd" in capsys.readouterr().err

@@ -4,12 +4,13 @@ import random
 import pytest
 
 import corpus
-from centrallift import words
+from centrallift import cli, engines, words
 from centrallift.engines import (
     CosetLimitExceeded,
     EngineMismatch,
     NotNormal,
     NotSubgroup,
+    PermutationEngine,
     central_log_table,
     element_order,
     generates,
@@ -287,3 +288,80 @@ def test_power_matches_iteration():
         assert engine.power(x, k) == acc
         acc = engine.multiply(acc, x)
     assert engine.power(x, -7) == engine.inverse(engine.power(x, 7))
+
+
+def bfs_closure(perms, degree):
+    # independent oracle: the closure of the permutations in BFS order,
+    # right multiplication by each generator in turn
+    found = [tuple(range(degree))]
+    seen = set(found)
+    for p in found:
+        for g in perms:
+            q = tuple(g[x] for x in p)
+            if q not in seen:
+                seen.add(q)
+                found.append(q)
+    return found
+
+
+def regular_engines():
+    for text, _ in TC_CASES:
+        yield todd_coxeter(parse_presentation(text), max_cosets=1000)
+    for _, text in corpus.CORPUS:
+        _, _, engine, n_elements = corpus.build(text)
+        yield quotient_engine(engine, n_elements)
+
+
+def test_regular_engines_number_elements_in_closure_order():
+    for engine in regular_engines():
+        gens = [engine.perm(engine.generator(i)) for i in range(engine.ngens)]
+        closure = bfs_closure(gens, engine.degree)
+        assert [engine.perm(el) for el in engine.elements()] == closure
+        index = {p: i for i, p in enumerate(closure)}
+        for i, p in enumerate(closure):
+            for j, q in enumerate(closure):
+                assert engine._mult_index(i, j) == index[tuple(q[x] for x in p)]
+
+
+def test_permutation_engine_numbering_ignores_generators():
+    by_cycles = PermutationEngine([(1, 2, 0), (1, 0, 2)])
+    by_swaps = PermutationEngine([(1, 0, 2), (0, 2, 1)])
+    perms = sorted(itertools.permutations(range(3)))
+    for engine in (by_cycles, by_swaps):
+        assert engine.order() == 6
+        assert [engine.element_from_perm(p).index for p in perms] == list(range(6))
+        for i, p in enumerate(perms):
+            for j, q in enumerate(perms):
+                assert engine._mult_index(i, j) == perms.index(tuple(q[x] for x in p))
+
+
+HEISENBERG7 = """\
+generators: x y z
+relator: x^7
+relator: y^7
+relator: z^7
+relator: x^-1*y^-1*x*y*z^-1
+relator: x^-1*z^-1*x*z
+relator: y^-1*z^-1*y*z
+central: z
+"""
+
+
+def test_auto_builds_few_columns(tmp_path, monkeypatch, capsys):
+    # Cayley columns are built on demand: one auto run on Heisenberg mod 7
+    # multiplies by few enough elements to leave most columns unbuilt
+    built = []
+
+    def recording(pres, max_cosets):
+        built.append(todd_coxeter(pres, max_cosets))
+        return built[-1]
+
+    monkeypatch.setattr(engines, "todd_coxeter", recording)
+    pres = tmp_path / "heis7.grp"
+    pres.write_text(HEISENBERG7)
+    phi = tmp_path / "phi.img"
+    phi.write_text("image: x^2*y\nimage: x*y^3\nimage: 1\n")
+    assert cli.main(["auto", str(pres), str(phi)]) == 0
+    (engine,) = built
+    assert engine.order() == 343
+    assert sum(col is not None for col in engine._columns) < engine.order() // 2
