@@ -192,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("presentation", help="presentation file (with central: lines)")
-        p.add_argument("--max-cosets", type=int, default=50000)
+        p.add_argument("--max-cosets", type=int, default=engines.DEFAULT_MAX_COSETS)
         output(p)
 
     p_solve = sub.add_parser("solve", help="enumerate homomorphic lifts")
@@ -220,7 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo = sub.add_parser("demo", help="metacyclic non-characteristic showcase")
     p_demo.add_argument("--p", type=int, required=True)
     p_demo.add_argument("--n", type=int, required=True)
-    p_demo.add_argument("--order-budget", type=int, default=200)
+    p_demo.add_argument(
+        "--order-budget", type=int, default=metacyclic.CaseStudyConfig.order_budget
+    )
     output(p_demo)
     p_demo.set_defaults(func=cmd_demo)
     return parser

@@ -23,6 +23,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from .presentation import Presentation
 
 
+DEFAULT_MAX_COSETS = 50000
+
+
 class EngineMismatch(TypeError):
     """Elements of two different engines were mixed."""
 
@@ -264,7 +267,9 @@ def _regular_steps(
     return number, [[number[act[p]] for p in points] for act in actions]
 
 
-def todd_coxeter(presentation: "Presentation", max_cosets: int = 50000) -> GroupEngine:
+def todd_coxeter(
+    presentation: "Presentation", max_cosets: int = DEFAULT_MAX_COSETS
+) -> GroupEngine:
     """Enumerate cosets of the trivial subgroup of a finitely presented group.
 
     Scans every relator (plus the generator/inverse cancellation pairs)

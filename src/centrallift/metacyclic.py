@@ -13,9 +13,10 @@ direct engine computation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 
 from . import engines, lifting, oracle
-from .engines import Element, GroupEngine, PermutationEngine
+from .engines import Element, GroupEngine, PermutationEngine, _compose
 from .lifting import LiftContext
 from .presentation import CentralSubgroupSpec, Presentation, QuotientAutSpec
 from .words import FreeWord, concat, evaluate, format_word
@@ -41,8 +42,6 @@ def _require(condition: bool, message: str) -> None:
 def _multiplicative_order(a: int, m: int) -> int:
     if m == 1:
         return 1
-    from math import gcd
-
     if gcd(a, m) != 1:
         raise ValueError("not a unit")
     k, cur = 1, a % m
@@ -53,8 +52,6 @@ def _multiplicative_order(a: int, m: int) -> int:
 
 
 def _primitive_roots(m: int) -> list[int]:
-    from math import gcd
-
     phi = sum(1 for x in range(1, m) if gcd(x, m) == 1)
     return [
         a
@@ -151,43 +148,62 @@ def _conjugation_map(engine: GroupEngine, g: Element) -> tuple[int, ...]:
     )
 
 
+def _perm_order(perm: tuple[int, ...]) -> int:
+    """Order of a permutation: the lcm of its cycle lengths."""
+    order, seen = 1, [False] * len(perm)
+    for start in range(len(perm)):
+        length, x = 0, start
+        while not seen[x]:
+            seen[x] = True
+            x = perm[x]
+            length += 1
+        if length:
+            order = lcm(order, length)
+    return order
+
+
+def _perm_power(perm: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """perm^k for k >= 0 by square-and-multiply."""
+    acc = tuple(range(len(perm)))
+    while k:
+        if k & 1:
+            acc = _compose(acc, perm)
+        k >>= 1
+        if k:
+            perm = _compose(perm, perm)
+    return acc
+
+
 def build_aut_A(
-    cfg: CaseStudyConfig, pres_g: Presentation, g_engine: GroupEngine
+    cfg: CaseStudyConfig,
+    pres_g: Presentation,
+    g_engine: GroupEngine,
+    inner_maps: set[tuple[int, ...]],
 ) -> tuple[PermutationEngine, AutParams]:
     """Aut(G) as a composition engine, generated by the fitted triple.
 
-    Automorphisms are permutations of G's element indices; the engine's
-    generators are the fitted (x1, x2, x3).  The parameter search tries
-    primitive roots a of both p^(n-2) and p^(n-1), j and k in [0, p),
-    x1 among order-p inner automorphisms (conjugation by x first) and x3
-    among elements of maximal order (p-1)p^(n-2).
+    Automorphisms are permutations of G's element indices.  The parameter
+    search runs on the oracle's sorted maps as plain tuples: it tries
+    primitive roots a of both p^(n-2) and p^(n-1), j and k in [0, p), x1
+    among the order-p maps of inner_maps (conjugation by x first) and x3
+    among maps of maximal order (p-1)p^(n-2).  The one engine is the
+    closure of the first triple that fits and generates every map.
     """
     p, n = cfg.p, cfg.n
     auts = oracle.bf_automorphism_group(pres_g, g_engine)
     _require(auts.order == cfg.aut_order, "automorphism group order mismatch")
 
     maps = sorted(auts.maps)
-    seed = PermutationEngine(_greedy_generators(maps))
-    _require(seed.order() == len(maps), "greedy generators do not close to Aut(G)")
-
-    order_of = {
-        el.index: engines.element_order(seed, el) for el in seed.elements()
-    }
-    inner_maps = sorted(
-        {_conjugation_map(g_engine, g) for g in g_engine.elements()}
-    )
-    conj_x = seed.element_from_perm(_conjugation_map(g_engine, g_engine.generator(0)))
-    inner = [seed.element_from_perm(m) for m in inner_maps]
+    order_of = {m: _perm_order(m) for m in maps}
+    conj_x = _conjugation_map(g_engine, g_engine.generator(0))
 
     max_order = (p - 1) * p ** (n - 2)
     small = (p - 1) * p ** (n - 3)
-    x3_candidates = [el for el in seed.elements() if order_of[el.index] == max_order]
+    x3_candidates = [m for m in maps if order_of[m] == max_order]
     x1_candidates = [
-        el
-        for el in [conj_x] + sorted(set(inner) - {conj_x})
-        if order_of[el.index] == p
+        m for m in [conj_x] + sorted(inner_maps - {conj_x}) if order_of[m] == p
     ]
-    x2_candidates = [el for el in seed.elements() if order_of[el.index] == p]
+    x2_candidates = [m for m in maps if order_of[m] == p]
 
     a_candidates: list[tuple[int, bool, bool]] = []
     roots_small = set(_primitive_roots(p ** (n - 2)))
@@ -195,56 +211,46 @@ def build_aut_A(
     for a in sorted(roots_small | roots_big):
         a_candidates.append((a, a in roots_small, a in roots_big))
 
-    def solve_exponent(x3: Element, conj: Element, base: Element, exp: int):
-        # conj * x3^(exp_j * small) == base^exp for some exp_j in [0, p)
-        want = seed.power(base, exp)
-        step = seed.power(x3, small)
-        cur = conj
-        for jj in range(p):
-            if cur == want:
-                return jj
-            cur = seed.multiply(cur, step)
-        return None
+    def with_exponents(candidates, exp: int, x3, step):
+        # (x, e) for each x with x3^-1 x x3 * step^e == x^exp, e in [0, p)
+        x3_inv = _perm_power(x3, max_order - 1)
+        found = []
+        for x in candidates:
+            want, cur = _perm_power(x, exp), _compose(_compose(x3_inv, x), x3)
+            for e in range(p):
+                if cur == want:
+                    found.append((x, e))
+                    break
+                cur = _compose(cur, step)
+        return found
 
     for a, proot_small, proot_big in a_candidates:
         a_inv = pow(a % p, -1, p)
         for x3 in x3_candidates:
-            x3_inv = seed.inverse(x3)
-            pairs1 = []
-            for x1 in x1_candidates:
-                conj = seed.multiply(seed.multiply(x3_inv, x1), x3)
-                jj = solve_exponent(x3, conj, x1, a)
-                if jj is not None:
-                    pairs1.append((x1, jj))
+            step = _perm_power(x3, small)
+            pairs1 = with_exponents(x1_candidates, a, x3, step)
             if not pairs1:
                 continue
-            pairs2 = []
-            for x2 in x2_candidates:
-                conj = seed.multiply(seed.multiply(x3_inv, x2), x3)
-                kk = solve_exponent(x3, conj, x2, a_inv)
-                if kk is not None:
-                    pairs2.append((x2, kk))
-            comm_target = seed.power(x3, small)
+            pairs2 = with_exponents(x2_candidates, a_inv, x3, step)
             for x1, jj in pairs1:
                 for x2, kk in pairs2:
-                    comm = seed.multiply(
-                        seed.multiply(seed.inverse(x1), seed.inverse(x2)),
-                        seed.multiply(x1, x2),
+                    comm = _compose(
+                        _compose(_perm_power(x1, p - 1), _perm_power(x2, p - 1)),
+                        _compose(x1, x2),
                     )
-                    if comm != comm_target:
+                    if comm != step:
                         continue
-                    if not engines.generates(seed, (x1, x2, x3)):
+                    engine = PermutationEngine([x1, x2, x3])
+                    if engine.order() < len(maps):
                         continue
-                    # both engines number the same maps in sorted order
-                    final = PermutationEngine([maps[x.index] for x in (x1, x2, x3)])
                     _require(
-                        final.order() == seed.order(),
-                        "fitted triple does not close to Aut(G)",
+                        engine._perms == maps,
+                        "fitted triple does not close to the oracle's automorphisms",
                     )
                     params = AutParams(
-                        x1=final.element(x1.index),
-                        x2=final.element(x2.index),
-                        x3=final.element(x3.index),
+                        x1=engine.generator(0),
+                        x2=engine.generator(1),
+                        x3=engine.generator(2),
                         a=a,
                         a_inv=a_inv,
                         j=jj,
@@ -252,27 +258,9 @@ def build_aut_A(
                         a_is_proot_mod_pn2=proot_small,
                         a_is_proot_mod_pn1=proot_big,
                     )
-                    _verify_params(cfg, final, params)
-                    return final, params
+                    _verify_params(cfg, engine, params)
+                    return engine, params
     raise SearchFailed("no (a, j, k, x1, x2, x3) satisfies the presentation")
-
-
-def _greedy_generators(maps: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    # grow a generating set element by element until it spans all maps
-    chosen: list[tuple[int, ...]] = []
-    identity = maps[0]
-    have = {identity}
-    for m in maps:
-        if m in have:
-            continue
-        chosen.append(m)
-        trial = PermutationEngine(chosen)
-        have = set(trial._perms)
-        if len(have) == len(maps):
-            break
-    if set(maps) != have:
-        raise SearchFailed("could not regenerate the automorphism group")
-    return chosen
 
 
 def _verify_params(cfg: CaseStudyConfig, engine: PermutationEngine, params: AutParams):
@@ -316,16 +304,10 @@ def verify_inner(
     g_engine: GroupEngine,
     a_engine: PermutationEngine,
     params: AutParams,
+    inner_maps: set[tuple[int, ...]],
 ) -> tuple[Element, ...]:
     """Inn(G) as conjugations; asserts Inn(G) = <x1, x3^((p-1)p^(n-3))>."""
-    inner = tuple(
-        sorted(
-            {
-                a_engine.element_from_perm(_conjugation_map(g_engine, g))
-                for g in g_engine.elements()
-            }
-        )
-    )
+    inner = tuple(sorted(a_engine.element_from_perm(m) for m in inner_maps))
     span = engines.subgroup_closure(
         a_engine,
         (params.x1, a_engine.power(params.x3, (cfg.p - 1) * cfg.p ** (cfg.n - 3))),
@@ -566,10 +548,11 @@ def run_case_study(cfg: CaseStudyConfig) -> CaseStudyResult:
     """Full pipeline; raises VerificationFailed on any failed check."""
     pres_g = metacyclic_presentation(cfg)
     g_engine = build_group(cfg, pres_g)
-    a_engine, params = build_aut_A(cfg, pres_g, g_engine)
+    inner_maps = {_conjugation_map(g_engine, g) for g in g_engine.elements()}
+    a_engine, params = build_aut_A(cfg, pres_g, g_engine, inner_maps)
     pres_a = aut_presentation(cfg.p, cfg.n, params.a, params.a_inv, params.j, params.k)
     center = verify_center(cfg, a_engine, params)
-    inner = verify_inner(cfg, g_engine, a_engine, params)
+    inner = verify_inner(cfg, g_engine, a_engine, params, inner_maps)
     k_elems = set(engines.subgroup_closure(a_engine, (params.x1, params.x2)))
     verify_commutator_structure(cfg, a_engine, params, center, k_elems)
 

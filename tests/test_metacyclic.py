@@ -141,9 +141,13 @@ def test_result_dict_roundtrip(case_study):
 
 def test_case_study_builds_one_context(monkeypatch):
     # A/Z, its quotient engine and M's Smith form are built once, by the one
-    # LiftContext shared by the surjectivity check, the oracle and the witness
+    # LiftContext shared by the surjectivity check, the oracle and the witness;
+    # Aut(G) is one engine, closed from the fitted triple, and each
+    # conjugation map of G is computed once (plus x's, to seed the search)
     real_context, real_quotient = metacyclic.LiftContext, engines.quotient_engine
-    contexts, quotients = [], []
+    real_perm_init = engines.PermutationEngine.__init__
+    real_conj = metacyclic._conjugation_map
+    contexts, quotients, perm_engines, conj_calls = [], [], [], []
 
     def counting_context(*args):
         contexts.append(args)
@@ -153,9 +157,32 @@ def test_case_study_builds_one_context(monkeypatch):
         quotients.append(args)
         return real_quotient(*args)
 
+    def counting_perm_init(self, *args):
+        perm_engines.append(args)
+        real_perm_init(self, *args)
+
+    def counting_conj(*args):
+        conj_calls.append(args)
+        return real_conj(*args)
+
     monkeypatch.setattr(metacyclic, "LiftContext", counting_context)
     monkeypatch.setattr(engines, "quotient_engine", counting_quotient)
+    monkeypatch.setattr(engines.PermutationEngine, "__init__", counting_perm_init)
+    monkeypatch.setattr(metacyclic, "_conjugation_map", counting_conj)
     result = metacyclic.run_case_study(CaseStudyConfig(3, 4))
     assert result.quotient_order == 18
     assert len(contexts) == 1
     assert len(quotients) == 1
+    assert len(perm_engines) == 1
+    assert len(conj_calls) <= result.g_engine.order() + 1
+
+
+def test_perm_order_matches_engine_order(case_study):
+    a = case_study.a_engine
+    s3 = engines.PermutationEngine([(1, 2, 0), (1, 0, 2)])
+    for engine in (a, s3):
+        for el in engine.elements():
+            assert metacyclic._perm_order(engine._perms[el.index]) == (
+                engines.element_order(engine, el)
+            )
+    assert sorted(metacyclic._perm_order(p) for p in s3._perms) == [1, 2, 2, 2, 3, 3]
