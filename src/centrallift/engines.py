@@ -9,7 +9,7 @@ build only their columns.  Engines come from todd_coxeter (the regular
 action on the coset table), quotient_engine (G/N acting on the cosets
 of a normal N) and PermutationEngine (automorphism groups, as sorted
 permutations of the base group's element indices).  Lazy caches only
-ever add columns, so concurrent readers are safe.
+ever add columns and inverses, so concurrent readers are safe.
 """
 
 from __future__ import annotations
@@ -87,6 +87,8 @@ class GroupEngine:
         self._gen_indices = [step[0] for step in steps[0::2]]
         self._columns: list[list[int] | None] = [None] * order
         self._columns[0] = list(range(order))
+        self._inverses = [-1] * order  # -1: not yet known
+        self._inverses[0] = 0
         self._tree: tuple[list[int], list[tuple[int, int]], list[int]] | None = None
 
     def check(self, el: Element) -> int:
@@ -152,7 +154,14 @@ class GroupEngine:
         return (self._columns[j] or self._column(j))[i]
 
     def _inv_index(self, i: int) -> int:
-        return self._column(i).index(0)
+        """Index of i's inverse: column i is scanned once, and the pair
+        is stored both ways."""
+        inv = self._inverses[i]
+        if inv < 0:
+            inv = self._column(i).index(0)
+            self._inverses[i] = inv
+            self._inverses[inv] = i
+        return inv
 
     def _column(self, j: int) -> list[int]:
         """Column j of the Cayley table, building the missing columns on
@@ -410,24 +419,21 @@ def todd_coxeter(
 
 
 def _closure_indices(engine: GroupEngine, seeds: Iterable[Element], limit: int) -> list[int]:
-    # BFS over right multiplication by the seeds; stops early once the
-    # closure has more than `limit` elements
-    seed_indices = sorted({engine.check(s) for s in seeds})
-    seen = {0}
+    # BFS from the identity over right multiplication by the seeds, one
+    # Cayley column read per seed; stops early once the closure has more
+    # than `limit` elements
+    columns = [engine._column(s) for s in sorted({engine.check(s) for s in seeds})]
+    seen = bytearray(engine.order())
+    seen[0] = 1
     frontier = [0]
-    for s in seed_indices:
-        if s not in seen:
-            seen.add(s)
-            frontier.append(s)
-    pos = 0
-    while pos < len(frontier) and len(frontier) <= limit:
-        cur = frontier[pos]
-        for s in seed_indices:
-            nxt = engine._mult_index(cur, s)
-            if nxt not in seen:
-                seen.add(nxt)
+    for cur in frontier:  # grows while it is walked
+        if len(frontier) > limit:
+            break
+        for col in columns:
+            nxt = col[cur]
+            if not seen[nxt]:
+                seen[nxt] = 1
                 frontier.append(nxt)
-        pos += 1
     return frontier
 
 

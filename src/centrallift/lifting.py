@@ -28,7 +28,7 @@ from .presentation import (
     check_quotient_aut_on,
     validate_central,
 )
-from .words import FreeWord, evaluate, exponent_vector, format_word
+from .words import FreeWord, evaluate, evaluate_indices, exponent_vector, format_word
 
 
 class ResidueOutsideN(ValueError):
@@ -262,17 +262,18 @@ def build_residue_vector(problem: LiftProblem) -> list[tuple[int, ...]]:
 def materialize(problem: LiftProblem, v_blocks) -> Endomorphism:
     """Images g_i = xbar_i * prod_j z_j^(v[j][i]); relators are re-verified."""
     engine = problem.engine
-    images = []
+    mult, power = engine._mult_index, engine._power_index
+    z_indices = [engine.check(z) for z in problem.z_elements]
+    indices = []
     for i in range(problem.pres.n):
-        g = problem.xbar[i]
-        for j, z in enumerate(problem.z_elements):
-            g = engine.multiply(g, engine.power(z, v_blocks[j][i]))
-        images.append(g)
-    endo = Endomorphism(tuple(images))
+        g = engine.check(problem.xbar[i])
+        for j, z in enumerate(z_indices):
+            g = mult(g, power(z, v_blocks[j][i]))
+        indices.append(g)
     for k, rel in enumerate(problem.pres.relators):
-        if evaluate(rel, endo.images, engine) != engine.identity():
+        if evaluate_indices(rel, indices, engine) != 0:
             raise NotASolution(f"relator {k} fails at the materialized images")
-    return endo
+    return Endomorphism(tuple(Element(engine, g) for g in indices))
 
 
 def is_automorphism(problem: LiftProblem, psi: Endomorphism) -> bool:

@@ -16,7 +16,7 @@ from . import engines, lifting
 from .engines import Element, GroupEngine
 from .lifting import Endomorphism, LiftContext, LiftProblem
 from .presentation import Presentation, QuotientAutSpec
-from .words import evaluate, format_word
+from .words import evaluate_indices, format_word
 
 
 class BudgetExceeded(RuntimeError):
@@ -60,27 +60,30 @@ def _relators_by_depth(pres: Presentation, depth_order: list[int]) -> list[list]
 
 
 def _search_image_tuples(pres, engine, candidates, depth_order, check_leaf):
-    """DFS over image tuples with per-depth relator rejection."""
+    """DFS over image tuples with per-depth relator rejection.
+
+    Runs on element indices; Elements are made only for the tuples that
+    pass every relator, just before check_leaf.
+    """
     groups = _relators_by_depth(pres, depth_order)
     n = pres.n
-    images: list[Element | None] = [None] * n
-    identity = engine.identity()
+    pools = [[engine.check(c) for c in cands] for cands in candidates]
+    images = [0] * n
     out = []
 
     def descend(depth: int) -> None:
         if depth == n:
-            fixed = tuple(images)
+            fixed = tuple(Element(engine, i) for i in images)
             if check_leaf(fixed):
                 out.append(Endomorphism(fixed))
             return
         gen = depth_order[depth]
-        for candidate in candidates[gen]:
+        for candidate in pools[gen]:
             images[gen] = candidate
             if all(
-                evaluate(rel, images, engine) == identity for rel in groups[depth]
+                evaluate_indices(rel, images, engine) == 0 for rel in groups[depth]
             ):
                 descend(depth + 1)
-        images[gen] = None
 
     descend(0)
     out.sort(key=lambda e: e.key())

@@ -127,21 +127,31 @@ def format_word(word: FreeWord, names: Sequence[str]) -> str:
     return "*".join(terms)
 
 
-def evaluate(word: FreeWord, images, engine):
-    """Evaluate the word at the given generator images in an engine.
+def evaluate_indices(word: FreeWord, indices, engine) -> int:
+    """Index of the word evaluated at generator images given as element
+    indices (``indices[g]`` is the image of generator g) in an engine.
 
-    Works on element indices through the engine's square-and-multiply
-    power, so relators like x^(p^(n-1)) cost O(log exp) multiplications
-    and only the result becomes an Element.  Invariant under free
-    reduction of the word.
+    Powers go through the engine's square-and-multiply, so relators like
+    x^(p^(n-1)) cost O(log exp) multiplications; an exponent of 1 is a
+    plain lookup.  Invariant under free reduction of the word.
     """
-    mult, power, check = engine._mult_index, engine._power_index, engine.check
+    mult, power = engine._mult_index, engine._power_index
     acc = 0  # identity index
     for gen, exp in word.letters:
+        step = indices[gen] if exp == 1 else power(indices[gen], exp)
+        acc = step if acc == 0 else mult(acc, step)
+    return acc
+
+
+def evaluate(word: FreeWord, images, engine):
+    """Evaluate the word at the given generator images (Elements) in an
+    engine; only the images of generators the word uses are read."""
+    indices = {}
+    for gen, _ in word.letters:
         if gen >= len(images):
             raise IndexError(
                 f"word uses generator {gen} but only {len(images)} images were given"
             )
-        step = power(check(images[gen]), exp)
-        acc = step if acc == 0 else mult(acc, step)
-    return engine.element(acc)
+        if gen not in indices:
+            indices[gen] = engine.check(images[gen])
+    return engine.element(evaluate_indices(word, indices, engine))
