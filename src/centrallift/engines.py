@@ -9,7 +9,7 @@ build only their columns.  Engines come from todd_coxeter (the regular
 action on the coset table), quotient_engine (G/N acting on the cosets
 of a normal N) and PermutationEngine (automorphism groups, as sorted
 permutations of the base group's element indices).  Lazy caches only
-ever add columns and inverses, so concurrent readers are safe.
+ever add columns, inverses and powers, so concurrent readers are safe.
 """
 
 from __future__ import annotations
@@ -89,7 +89,8 @@ class GroupEngine:
         self._columns[0] = list(range(order))
         self._inverses = [-1] * order  # -1: not yet known
         self._inverses[0] = 0
-        self._tree: tuple[list[int], list[tuple[int, int]], list[int]] | None = None
+        self._powers: dict[int, dict[int, int]] = {}  # k -> {i: index of i**k}
+        self._tree: tuple[list[int], list[int], list[int], list[int]] | None = None
 
     def check(self, el: Element) -> int:
         if not isinstance(el, Element) or el.engine is not self:
@@ -135,8 +136,19 @@ class GroupEngine:
         return Element(self, self._power_index(self.check(a), k))
 
     def _power_index(self, idx: int, k: int) -> int:
-        """Index of idx**k by square-and-multiply; negative k goes through
-        the inverse.  The last square is skipped, so x^1 touches no column."""
+        """Index of idx**k, memoized per exponent like the inverses.
+
+        A miss runs square-and-multiply; negative k goes through the
+        inverse.  The last square is skipped, so x^1 touches no column.
+        """
+        try:
+            return self._powers[k][idx]
+        except KeyError:
+            power = self._square_and_multiply(idx, k)
+            self._powers.setdefault(k, {})[idx] = power
+            return power
+
+    def _square_and_multiply(self, idx: int, k: int) -> int:
         if k < 0:
             idx = self._inv_index(idx)
             k = -k
@@ -169,39 +181,40 @@ class GroupEngine:
         not recursion, since a cyclic group's tree is order/2 deep."""
         col = self._columns[j]
         if col is None:
-            parent, letter, _ = self._word_tree()
+            parent, via, _, _ = self._word_tree()
             path = []
             while col is None:
                 path.append(j)
                 j = parent[j]
                 col = self._columns[j]
             for k in reversed(path):
-                g, sign = letter[k]
-                step = self._steps[2 * g + (sign < 0)]
+                step = self._steps[via[k]]
                 col = [step[x] for x in col]
                 self._columns[k] = col
         return col
 
-    # Cayley-graph BFS tree rooted at the identity; edge alphabet is
-    # (gen 0, +1), (gen 0, -1), (gen 1, +1), ... which also fixes the
-    # lexicographic order used for shortest words.
+    # Cayley-graph BFS tree rooted at the identity.  via[i] is the step
+    # from i's parent to i: step 2g is x_g and 2g+1 is x_g^-1, an order
+    # that also fixes the lexicographic order used for shortest words.
+    # The tree is (parent, via, BFS order, the steps that occur in via).
     def _word_tree(self):
         if self._tree is None:
-            labels = [(k >> 1, -1 if k & 1 else 1) for k in range(len(self._steps))]
             parent = [-1] * self._order
             parent[0] = 0  # the root: no walk up the tree reads it
-            letter: list[tuple[int, int]] = [(-1, 0)] * self._order
+            via = [-1] * self._order
+            used = [False] * len(self._steps)
             order = [0]
             for cur in order:  # grows while it is walked
-                for label, step in zip(labels, self._steps):
+                for s, step in enumerate(self._steps):
                     nxt = step[cur]
                     if parent[nxt] == -1:
                         parent[nxt] = cur
-                        letter[nxt] = label
+                        via[nxt] = s
+                        used[s] = True
                         order.append(nxt)
             if len(order) != self._order:
                 raise AssertionError("generators do not generate the engine")
-            self._tree = (parent, letter, order)
+            self._tree = (parent, via, order, [s for s, u in enumerate(used) if u])
         return self._tree
 
 
@@ -553,11 +566,11 @@ def word_for_element(engine: GroupEngine, h: Element) -> FreeWord:
     are broken lexicographically with x_i before x_i^-1 before x_(i+1).
     """
     idx = engine.check(h)
-    parent, letter, _ = engine._word_tree()
+    parent, via, _, _ = engine._word_tree()
     raw: list[tuple[int, int]] = []
     while idx != 0:
-        g, sign = letter[idx]
-        raw.append((g, sign))
+        s = via[idx]
+        raw.append((s >> 1, -1 if s & 1 else 1))
         idx = parent[idx]
     raw.reverse()
     return reduce_word(raw)
@@ -568,17 +581,19 @@ def map_images(engine: GroupEngine, images: Sequence[Element]) -> tuple[int, ...
 
     Returns, for every element index of `engine`, the index of its image
     in the images' engine.  The generator images must define a
-    homomorphism for the result to be meaningful.
+    homomorphism for the result to be meaningful.  Only the columns of
+    the images, and of their inverses, that the tree's steps use are read.
     """
     target = images[0].engine
     img_idx = [target.check(im) for im in images]
-    img_inv = [target._inv_index(i) for i in img_idx]
-    parent, letter, order = engine._word_tree()
+    parent, via, order, used = engine._word_tree()
+    columns: list[list[int] | None] = [None] * (2 * len(img_idx))
+    for s in used:
+        im = img_idx[s >> 1]
+        columns[s] = target._column(target._inv_index(im) if s & 1 else im)
     out = [0] * engine.order()
     for idx in order[1:]:
-        g, sign = letter[idx]
-        step = img_idx[g] if sign > 0 else img_inv[g]
-        out[idx] = target._mult_index(out[parent[idx]], step)
+        out[idx] = columns[via[idx]][out[parent[idx]]]
     return tuple(out)
 
 

@@ -59,14 +59,36 @@ class SolverConsistencyError(RuntimeError):
     """An internal cross-check between two solver routes failed."""
 
 
-@dataclass(frozen=True)
 class Endomorphism:
-    """An endomorphism of the engine's group, given by generator images."""
+    """An endomorphism of the engine's group, given by generator images.
 
-    images: tuple[Element, ...]
+    Equal when the images lie in the same engine and have the same
+    indices; the index tuple and its hash are computed once.
+    """
+
+    __slots__ = ("images", "_engine", "_key", "_hash")
+
+    def __init__(self, images: tuple[Element, ...]):
+        self.images = images
+        self._engine = images[0].engine if images else None
+        self._key = tuple(el.index for el in images)
+        self._hash = hash(self._key)
 
     def key(self) -> tuple[int, ...]:
-        return tuple(el.index for el in self.images)
+        return self._key
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Endomorphism)
+            and other._engine is self._engine
+            and other._key == self._key
+        )
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"Endomorphism(images={self.images!r})"
 
 
 class LiftContext:

@@ -4,8 +4,11 @@ Everything here enumerates candidate image tuples directly and checks
 relators by evaluation; no matrix machinery is shared with the solver,
 so agreement between the two is meaningful evidence.  Searches prune
 early: candidates are filtered by element order where orders must match,
-and each relator is checked as soon as all generators in its support are
-assigned, cheapest (shortest) relator first.
+a relator on one generator filters that generator's candidates once, and
+every other relator is checked as soon as all generators in its support
+are assigned, cheapest (shortest) relator first.  A tuple that passes
+every relator is an endomorphism (von Dyck), so an automorphism test is
+one map of the whole group plus "the map is a permutation".
 """
 
 from __future__ import annotations
@@ -44,38 +47,45 @@ DEFAULT_LIFT_BUDGET = 10**6
 DEFAULT_AUT_BUDGET = 10**8
 
 
-def _relators_by_depth(pres: Presentation, depth_order: list[int]) -> list[list]:
+def _relators_by_depth(relators, depth_order: list[int]) -> list[list]:
     """Relator words grouped by the search depth at which they become checkable."""
     position = {gen: d for d, gen in enumerate(depth_order)}
     groups: list[list] = [[] for _ in depth_order]
-    for rel in pres.relators:
-        support = {g for g, _ in rel.letters}
-        if not support:
-            continue
-        depth = max(position[g] for g in support)
+    for rel in relators:
+        depth = max(position[g] for g, _ in rel.letters)
         groups[depth].append(rel)
     for group in groups:
         group.sort(key=lambda rel: (rel.length(), rel.letters))
     return groups
 
 
-def _search_image_tuples(pres, engine, candidates, depth_order, check_leaf):
-    """DFS over image tuples with per-depth relator rejection.
+def _search_image_tuples(pres, engine, pools, depth_order) -> list[tuple[int, ...]]:
+    """Every tuple of element indices, one from each generator's pool, at
+    which each relator evaluates to the identity, sorted.
 
-    Runs on element indices; Elements are made only for the tuples that
-    pass every relator, just before check_leaf.
+    A relator on a single generator is checked once per candidate of that
+    generator, while its pool is filtered; the others are checked per
+    depth of the search, as soon as their support is assigned.
     """
-    groups = _relators_by_depth(pres, depth_order)
+    pools = list(pools)
+    relators = []
+    for rel in pres.relators:
+        support = {g for g, _ in rel.letters}
+        if len(support) == 1:
+            (gen,) = support
+            pools[gen] = [
+                c for c in pools[gen] if evaluate_indices(rel, {gen: c}, engine) == 0
+            ]
+        elif support:
+            relators.append(rel)
+    groups = _relators_by_depth(relators, depth_order)
     n = pres.n
-    pools = [[engine.check(c) for c in cands] for cands in candidates]
     images = [0] * n
     out = []
 
     def descend(depth: int) -> None:
         if depth == n:
-            fixed = tuple(Element(engine, i) for i in images)
-            if check_leaf(fixed):
-                out.append(Endomorphism(fixed))
+            out.append(tuple(images))
             return
         gen = depth_order[depth]
         for candidate in pools[gen]:
@@ -86,7 +96,7 @@ def _search_image_tuples(pres, engine, candidates, depth_order, check_leaf):
                 descend(depth + 1)
 
     descend(0)
-    out.sort(key=lambda e: e.key())
+    out.sort()
     return out
 
 
@@ -97,13 +107,11 @@ def bf_hom_lifts(problem: LiftProblem, budget: int = DEFAULT_LIFT_BUDGET) -> lis
     if required > budget:
         raise BudgetExceeded(required, budget, "homomorphic lift enumeration")
     engine = problem.engine
-    candidates = [
-        [engine.multiply(problem.xbar[i], z) for z in problem.n_elements]
-        for i in range(n)
-    ]
-    return _search_image_tuples(
-        problem.pres, engine, candidates, list(range(n)), lambda images: True
-    )
+    mult = engine._mult_index
+    n_idx = [engine.check(z) for z in problem.n_elements]
+    pools = [[mult(engine.check(x), z) for z in n_idx] for x in problem.xbar]
+    leaves = _search_image_tuples(problem.pres, engine, pools, list(range(n)))
+    return [Endomorphism(tuple(Element(engine, i) for i in leaf)) for leaf in leaves]
 
 
 def _surjective(engine: GroupEngine, endos: list[Endomorphism]) -> list[Endomorphism]:
@@ -155,29 +163,32 @@ def bf_automorphism_group(
 
     Candidate images are restricted to elements of the same order as the
     generator (automorphisms preserve order); relators are applied as
-    soon as their support is assigned; finally the images must generate.
+    soon as their support is assigned, so every tuple that passes them is
+    an endomorphism; finally the map it defines must be a permutation.
+    That map is computed once and kept in the table.
     """
     n = pres.n
     order = engine.order()
     required = order**n
     if required > budget:
         raise BudgetExceeded(required, budget, "automorphism group enumeration")
-    elements = engine.elements()
-    orders = [engines.element_order(engine, el) for el in elements]
-    candidates = []
+    orders = [engines.element_order(engine, el) for el in engine.elements()]
+    pools = []
     for i in range(n):
         target = orders[engine.generator(i).index]
-        candidates.append([el for el in elements if orders[el.index] == target])
-    depth_order = _greedy_depth_order(pres, candidates)
+        pools.append([j for j in range(order) if orders[j] == target])
+    depth_order = _greedy_depth_order(pres, pools)
 
-    def generates(images) -> bool:
-        return engines.generates(engine, images)
-
-    auts = _search_image_tuples(pres, engine, candidates, depth_order, generates)
-    maps = tuple(engines.map_images(engine, endo.images) for endo in auts)
+    auts, maps = [], []
+    for leaf in _search_image_tuples(pres, engine, pools, depth_order):
+        images = tuple(Element(engine, i) for i in leaf)
+        image_map = engines.map_images(engine, images)
+        if len(set(image_map)) == order:
+            auts.append(Endomorphism(images))
+            maps.append(image_map)
     if len(set(maps)) != len(maps):
         raise AssertionError("distinct automorphisms with identical maps")
-    return AutGroupTable(tuple(auts), maps)
+    return AutGroupTable(tuple(auts), tuple(maps))
 
 
 def bf_quotient_auts(

@@ -1,10 +1,12 @@
 """The index-level paths against naive references on Elements: memoized
-inverses, closure by column walk and word evaluation on indices; plus the
-errors `words.evaluate` raises at the Element boundary, and how often a
-`verify` run crosses that boundary."""
+inverses and powers, closure by column walk, word evaluation on indices
+and the oracle's searches; plus the errors `words.evaluate` raises at the
+Element boundary, and how often a `verify` run crosses that boundary."""
 
+import itertools
 import os
 from collections import Counter
+from functools import lru_cache
 
 import pytest
 
@@ -12,9 +14,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import configuration, given, settings, strategies as st
 
 import corpus
-from centrallift import cli, engines, words
+from centrallift import cli, engines, oracle, words
 from centrallift.engines import EngineMismatch, GroupEngine, PermutationEngine
-from centrallift.presentation import parse_presentation
+from centrallift.lifting import Endomorphism, LiftContext
+from centrallift.presentation import Presentation, parse_presentation
 
 # as in test_properties: no hypothesis cache files under the working tree
 configuration.set_hypothesis_home_dir(os.devnull)
@@ -67,6 +70,19 @@ def naive_power(engine, el, exp):
     for _ in range(exp % engine.order()):
         acc = engine.multiply(acc, el)
     return acc
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_memoized_power_matches_repeated_multiply(data):
+    name = data.draw(engine_names)
+    engine, fresh = ENGINES[name](), ENGINES[name]()
+    picks = data.draw(st.lists(st.integers(0, engine.order() - 1), min_size=1, max_size=3))
+    for i in picks:
+        for k in data.draw(st.permutations(range(-60, 61))):
+            expected = naive_power(fresh, fresh.element(i), k).index
+            assert engine._power_index(i, k) == expected
+            assert engine._power_index(i, k) == expected  # now from the store
 
 
 @settings(max_examples=80, deadline=None)
@@ -142,3 +158,129 @@ def test_verify_checks_elements_at_the_boundary_and_scans_each_inverse_once(
     assert '"match": true' in capsys.readouterr().out
     assert checks < 10_000
     assert scans and max(scans.values()) == 1
+
+
+S3 = "generators: x y\nrelator: x^3\nrelator: y^2\nrelator: x*y*x*y"
+
+
+def heisenberg_quotient():
+    pres, central, engine, _ = corpus.build(corpus.HEISENBERG)
+    context = LiftContext(pres, engine, central)
+    return Presentation(pres.names, pres.relators + tuple(context.n_words)), context.quotient
+
+
+def presented(text):
+    pres = parse_presentation(text)
+    return pres, engines.todd_coxeter(pres)
+
+
+AUT_CASES = {
+    "S3": lambda: presented(S3),
+    "Q8": lambda: presented(corpus.Q8),
+    "metacyclic81": lambda: presented(corpus.METACYCLIC34),
+    "Heisenberg27_mod_center": heisenberg_quotient,
+}
+
+
+def order_preserving_endomorphisms(pres, engine):
+    """Image tuples, order-preserving on the generators, at which each
+    relator holds: a plain product of the candidates, in index order."""
+    orders = [engines.element_order(engine, el) for el in engine.elements()]
+    pools = [
+        [el for el in engine.elements() if orders[el.index] == orders[engine.generator(g).index]]
+        for g in range(pres.n)
+    ]
+    return [
+        images
+        for images in itertools.product(*pools)
+        if all(words.evaluate(rel, images, engine) == engine.identity() for rel in pres.relators)
+    ]
+
+
+def reference_automorphisms(pres, engine):
+    """The endomorphisms whose images generate, each with its map built
+    element by element from shortest words and plain _mult_index steps."""
+    auts, maps = [], []
+    for images in order_preserving_endomorphisms(pres, engine):
+        if not engines.generates(engine, images):
+            continue
+        image_map = []
+        for el in engine.elements():
+            acc = 0
+            for gen, exp in engines.word_for_element(engine, el).letters:
+                step = images[gen].index if exp > 0 else engine._inv_index(images[gen].index)
+                for _ in range(abs(exp)):
+                    acc = engine._mult_index(acc, step)
+            image_map.append(acc)
+        auts.append(tuple(im.index for im in images))
+        maps.append(tuple(image_map))
+    return auts, maps
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.data())
+def test_bf_automorphism_group_matches_generates_reference(data):
+    # the relator order of the presentation must not matter
+    pres, engine = AUT_CASES[data.draw(st.sampled_from(sorted(AUT_CASES)))]()
+    relators = data.draw(st.permutations(pres.relators))
+    table = oracle.bf_automorphism_group(Presentation(pres.names, tuple(relators)), engine)
+    auts, maps = reference_automorphisms(pres, engine)
+    assert [endo.key() for endo in table.automorphisms] == auts
+    assert list(table.maps) == maps
+
+
+def test_bf_automorphism_group_maps_each_endomorphism_once(monkeypatch):
+    pres, engine = AUT_CASES["metacyclic81"]()
+    calls = Counter()
+    real_generates, real_map_images = engines.generates, engines.map_images
+
+    def generates(*args):
+        calls["generates"] += 1
+        return real_generates(*args)
+
+    def map_images(*args):
+        calls["map_images"] += 1
+        return real_map_images(*args)
+
+    endomorphisms = len(order_preserving_endomorphisms(pres, engine))
+    monkeypatch.setattr(engines, "generates", generates)
+    monkeypatch.setattr(engines, "map_images", map_images)
+    table = oracle.bf_automorphism_group(pres, engine)
+    assert table.order == 162
+    assert calls["generates"] == 0
+    assert calls["map_images"] == endomorphisms
+
+
+@lru_cache(maxsize=None)
+def corpus_context(text):
+    pres, central, engine, _ = corpus.build(text)
+    context = LiftContext(pres, engine, central)
+    return context, oracle.bf_quotient_auts(context)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_bf_hom_lifts_matches_coset_product(data):
+    _, text = data.draw(st.sampled_from(corpus.CORPUS))
+    context, phis = corpus_context(text)
+    problem = context.problem(data.draw(st.sampled_from(phis)))
+    engine = problem.engine
+    cosets = [[engine.multiply(x, z) for z in problem.n_elements] for x in problem.xbar]
+    expected = sorted(
+        tuple(im.index for im in images)
+        for images in itertools.product(*cosets)
+        if all(
+            words.evaluate(rel, images, engine) == engine.identity()
+            for rel in problem.pres.relators
+        )
+    )
+    assert [endo.key() for endo in oracle.bf_hom_lifts(problem)] == expected
+
+
+def test_endomorphisms_of_different_engines_are_never_equal():
+    engine, other = ENGINES["Q8"](), ENGINES["Q8"]()
+    a = Endomorphism((engine.generator(0), engine.generator(1)))
+    b = Endomorphism((engine.generator(0), engine.generator(1)))
+    c = Endomorphism((other.generator(0), other.generator(1)))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a.key() == c.key() and a != c and len({a, c}) == 2
