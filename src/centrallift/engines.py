@@ -289,16 +289,46 @@ def _regular_steps(
     return number, [[number[act[p]] for p in points] for act in actions]
 
 
+def _check_coset_table(presentation: "Presentation", actions: list[list[int]]) -> None:
+    """Raise AssertionError unless actions is an action of the presented group.
+
+    actions[2g] and actions[2g+1] are the point images under x_g and
+    x_g^-1.  Each generator's action followed by its inverse's must fix
+    every point, and so must each relator, composed run by run with
+    square-and-multiply (x^243 costs 8 compositions, not 243).
+    """
+    identity = list(range(len(actions[0]))) if actions else [0]
+    for g in range(0, len(actions), 2):
+        if list(map(actions[g + 1].__getitem__, actions[g])) != identity:
+            raise AssertionError(f"coset table: generator {g // 2} times its inverse is not 1")
+    for rel in presentation.relators:
+        pts = identity
+        for gen, exp in rel.letters:
+            act, k = actions[2 * gen + (exp < 0)], abs(exp)
+            while k:
+                if k & 1:
+                    pts = list(map(act.__getitem__, pts))
+                k >>= 1
+                if k:
+                    act = list(map(act.__getitem__, act))
+        if pts != identity:
+            raise AssertionError("coset table: a relator does not act as the identity")
+
+
 def todd_coxeter(
     presentation: "Presentation", max_cosets: int = DEFAULT_MAX_COSETS
 ) -> GroupEngine:
     """Enumerate cosets of the trivial subgroup of a finitely presented group.
 
-    Scans every relator (plus the generator/inverse cancellation pairs)
-    at every live coset, filling the first undefined entry of each gap
-    and applying deductions and coincidences immediately; passes repeat
-    until the table is stable.  Returns the engine of the regular action
-    on the cosets, so the engine order is the group order.
+    One HLT pass: scans every relator (plus the generator/inverse
+    cancellation pairs) at every live coset in definition order, filling
+    the first undefined entry of each gap and applying deductions and
+    coincidences immediately.  A coincidence moves each dead coset's
+    entries onto its live representative (Holt-Eick-O'Brien, Handbook of
+    Computational Group Theory, ch. 5), so live rows name only live
+    cosets.  The final table is checked once against every relator and
+    generator/inverse pair.  Returns the engine of the regular action on
+    the cosets, so the engine order is the group order.
 
     Raises CosetLimitExceeded when the number of live cosets passes
     max_cosets: the group may be infinite, or the limit too small.
@@ -307,9 +337,6 @@ def todd_coxeter(
         raise ValueError("max_cosets must be >= 1")
     ngens = len(presentation.names)
     nsyms = 2 * ngens
-
-    def inv_sym(d: int) -> int:
-        return d ^ 1
 
     seqs: list[list[int]] = []
     for rel in presentation.relators:
@@ -324,9 +351,8 @@ def todd_coxeter(
         seqs.append([2 * g + 1, 2 * g])
 
     table: list[list[int]] = [[-1] * nsyms]
-    parent = [0]
+    parent = [0]  # union-find over merged cosets; a live coset is its own root
     live = 1
-    mods = 0  # bumped on every define/deduction/merge; passes repeat until stable
 
     def find(c: int) -> int:
         root = c
@@ -336,14 +362,9 @@ def todd_coxeter(
             parent[c], c = root, parent[c]
         return root
 
-    def set_edge(x: int, d: int, y: int) -> None:
-        table[x][d] = y
-        table[y][inv_sym(d)] = x
-
     def define(x: int, d: int) -> int:
-        nonlocal live, mods
+        nonlocal live
         live += 1
-        mods += 1
         if live > max_cosets:
             raise CosetLimitExceeded(
                 f"more than {max_cosets} live cosets; group may be infinite"
@@ -351,82 +372,80 @@ def todd_coxeter(
         y = len(table)
         table.append([-1] * nsyms)
         parent.append(y)
-        set_edge(x, d, y)
+        table[x][d] = y
+        table[y][d ^ 1] = x
         return y
 
     def coincidence(a: int, b: int) -> None:
-        nonlocal live, mods
-        stack = [(a, b)]
-        while stack:
-            a, b = stack.pop()
-            a, b = find(a), find(b)
-            if a == b:
-                continue
-            if a > b:
-                a, b = b, a
-            parent[b] = a
-            live -= 1
-            mods += 1
-            rowa, rowb = table[a], table[b]
-            for d in range(nsyms):
-                nb = rowb[d]
-                if nb == -1:
-                    continue
-                if rowa[d] == -1:
-                    rowa[d] = nb
-                else:
-                    stack.append((rowa[d], nb))
+        # the Handbook's COINCIDENCE: the larger of two merged cosets dies,
+        # and each dead row's entries move onto the live representatives
+        dead: list[int] = []
 
-    def scan_and_fill(start: int, seq: list[int]) -> None:
-        nonlocal mods
-        f = find(start)
+        def merge(a: int, b: int) -> None:
+            nonlocal live
+            a, b = find(a), find(b)
+            if a != b:
+                if a > b:
+                    a, b = b, a
+                parent[b] = a
+                live -= 1
+                dead.append(b)
+
+        merge(a, b)
+        for e in dead:  # grows while it is walked
+            row = table[e]
+            for d in range(nsyms):
+                f = row[d]
+                if f == -1:
+                    continue
+                table[f][d ^ 1] = -1
+                e1, f1 = find(e), find(f)
+                if table[e1][d] != -1:
+                    merge(f1, table[e1][d])
+                elif table[f1][d ^ 1] != -1:
+                    merge(e1, table[f1][d ^ 1])
+                else:
+                    table[e1][d] = f1
+                    table[f1][d ^ 1] = e1
+
+    def scan_and_fill(f: int, seq: list[int]) -> None:
         b = f
         i, j = 0, len(seq) - 1
         while True:
-            while i <= j:
-                nxt = table[f][seq[i]]
-                if nxt == -1:
-                    break
-                f = find(nxt)
+            while i <= j and (nxt := table[f][seq[i]]) != -1:
+                f = nxt
                 i += 1
             if i > j:
                 if f != b:
                     coincidence(f, b)
                 return
-            while j >= i:
-                nxt = table[b][inv_sym(seq[j])]
-                if nxt == -1:
-                    break
-                b = find(nxt)
+            while j >= i and (nxt := table[b][seq[j] ^ 1]) != -1:
+                b = nxt
                 j -= 1
             if j < i:
                 coincidence(f, b)
                 return
             if j == i:
-                set_edge(f, seq[i], b)
-                mods += 1
+                table[f][seq[i]] = b
+                table[b][seq[i] ^ 1] = f
                 return
             f = define(f, seq[i])
             i += 1
 
-    while True:
-        before = mods
-        c = 0
-        while c < len(table):
-            if find(c) == c:
-                for seq in seqs:
-                    scan_and_fill(c, seq)
-                    if find(c) != c:
-                        break
-            c += 1
-        if mods == before:
-            break
+    c = 0
+    while c < len(table):  # cosets defined during the pass are scanned in turn
+        for seq in seqs:
+            if parent[c] != c:
+                break
+            scan_and_fill(c, seq)
+        c += 1
 
-    live_list = [c for c in range(len(table)) if find(c) == c]
-    renumber = {c: i for i, c in enumerate(live_list)}
+    live_list = [c for c in range(len(table)) if parent[c] == c]
     if any(-1 in table[c] for c in live_list):
-        raise AssertionError("incomplete coset table after stabilization")
-    actions = [[renumber[find(table[c][d])] for c in live_list] for d in range(nsyms)]
+        raise AssertionError("incomplete coset table after enumeration")
+    renumber = {c: i for i, c in enumerate(live_list)}
+    actions = [[renumber[table[c][d]] for c in live_list] for d in range(nsyms)]
+    _check_coset_table(presentation, actions)
     _, steps = _regular_steps(len(live_list), actions)
     return GroupEngine(len(live_list), steps)
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +25,7 @@ def test_solve_c4(c4_files, tmp_path, capsys):
     out = str(tmp_path / "report.json")
     code = cli.main(["solve", pres, phi, "--out", out])
     assert code == 0
-    payload = json.loads(open(out).read())
+    payload = json.loads(Path(out).read_text())
     assert payload["lift_count"] == 2
     assert payload["kind"] == "homomorphic"
 
@@ -182,7 +183,7 @@ def test_json_reports_are_byte_identical(c4_files, tmp_path):
     out2 = str(tmp_path / "b.json")
     assert cli.main(["solve", pres, phi, "--out", out1]) == 0
     assert cli.main(["solve", pres, phi, "--out", out2]) == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
 
 def test_text_format(c4_files, capsys):

@@ -32,7 +32,7 @@ ENGINES = {
 engine_names = st.sampled_from(sorted(ENGINES))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, database=None)
 @given(st.data())
 def test_memoized_inverse_matches_column_scan(data):
     name = data.draw(engine_names)
@@ -52,7 +52,7 @@ def naive_closure(engine, seeds):
         group = bigger
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, database=None)
 @given(st.data())
 def test_closure_and_generates_match_naive_closure(data):
     name = data.draw(engine_names)
@@ -72,7 +72,7 @@ def naive_power(engine, el, exp):
     return acc
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20, deadline=None, database=None)
 @given(st.data())
 def test_memoized_power_matches_repeated_multiply(data):
     name = data.draw(engine_names)
@@ -85,7 +85,7 @@ def test_memoized_power_matches_repeated_multiply(data):
             assert engine._power_index(i, k) == expected  # now from the store
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80, deadline=None, database=None)
 @given(st.data())
 def test_evaluate_indices_matches_element_fold(data):
     name = data.draw(engine_names)
@@ -217,7 +217,7 @@ def reference_automorphisms(pres, engine):
     return auts, maps
 
 
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=12, deadline=None, database=None)
 @given(st.data())
 def test_bf_automorphism_group_matches_generates_reference(data):
     # the relator order of the presentation must not matter
@@ -258,7 +258,7 @@ def corpus_context(text):
     return context, oracle.bf_quotient_auts(context)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, database=None)
 @given(st.data())
 def test_bf_hom_lifts_matches_coset_product(data):
     _, text = data.draw(st.sampled_from(corpus.CORPUS))
