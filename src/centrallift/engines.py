@@ -118,19 +118,11 @@ class GroupEngine:
     def ngens(self) -> int:
         return len(self._gen_indices)
 
-    @property
-    def degree(self) -> int:  # of the permutations perm returns
-        return self._order
-
     def order(self) -> int:
         return self._order
 
     def elements(self) -> list[Element]:
         return [Element(self, i) for i in range(self._order)]
-
-    def perm(self, el: Element) -> tuple[int, ...]:
-        """The right-regular permutation of el: i -> index of i*el."""
-        return tuple(self._column(self.check(el)))
 
     def power(self, a: Element, k: int) -> Element:
         return Element(self, self._power_index(self.check(a), k))
@@ -218,9 +210,23 @@ class GroupEngine:
         return self._tree
 
 
-def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    # right action: apply a, then b
-    return tuple(b[x] for x in a)
+def _compose(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    # right action: apply a, then b; a list comprehension beats both a
+    # generator and map(b.__getitem__, a), whose slot wrapper is slow on tuples
+    return tuple([b[x] for x in a])
+
+
+def _perm_power(perm: Sequence[int], k: int) -> tuple[int, ...]:
+    """perm^k for k >= 0 by square-and-multiply (x^243 costs 8
+    compositions, not 243)."""
+    acc = tuple(range(len(perm)))
+    while k:
+        if k & 1:
+            acc = _compose(acc, perm)
+        k >>= 1
+        if k:
+            perm = _compose(perm, perm)
+    return acc
 
 
 class PermutationEngine(GroupEngine):
@@ -294,23 +300,16 @@ def _check_coset_table(presentation: "Presentation", actions: list[list[int]]) -
 
     actions[2g] and actions[2g+1] are the point images under x_g and
     x_g^-1.  Each generator's action followed by its inverse's must fix
-    every point, and so must each relator, composed run by run with
-    square-and-multiply (x^243 costs 8 compositions, not 243).
+    every point, and so must each relator, composed run by run.
     """
-    identity = list(range(len(actions[0]))) if actions else [0]
+    identity = tuple(range(len(actions[0]))) if actions else (0,)
     for g in range(0, len(actions), 2):
-        if list(map(actions[g + 1].__getitem__, actions[g])) != identity:
+        if _compose(actions[g], actions[g + 1]) != identity:
             raise AssertionError(f"coset table: generator {g // 2} times its inverse is not 1")
     for rel in presentation.relators:
         pts = identity
         for gen, exp in rel.letters:
-            act, k = actions[2 * gen + (exp < 0)], abs(exp)
-            while k:
-                if k & 1:
-                    pts = list(map(act.__getitem__, pts))
-                k >>= 1
-                if k:
-                    act = list(map(act.__getitem__, act))
+            pts = _compose(pts, _perm_power(actions[2 * gen + (exp < 0)], abs(exp)))
         if pts != identity:
             raise AssertionError("coset table: a relator does not act as the identity")
 
@@ -506,11 +505,16 @@ def is_central(engine: GroupEngine, h: Element) -> bool:
     return True
 
 
+def center(engine: GroupEngine) -> tuple[Element, ...]:
+    """Z(G): the elements that commute with every generator, sorted by index."""
+    return tuple(el for el in engine.elements() if is_central(engine, el))
+
+
 def central_log_table(
-    engine: GroupEngine, z_gens: Sequence[Element]
+    engine: GroupEngine, z_gens: Sequence[Element], orders: Sequence[int]
 ) -> dict[int, tuple[int, ...]]:
-    """Element index -> least exponent tuple, for every product of z-powers."""
-    orders = [element_order(engine, z) for z in z_gens]
+    """Element index -> least exponent tuple, for every product of z-powers;
+    orders[j] is the order of z_gens[j]."""
     power_lists = []
     for z, o in zip(z_gens, orders):
         zi = engine.check(z)
@@ -614,25 +618,3 @@ def map_images(engine: GroupEngine, images: Sequence[Element]) -> tuple[int, ...
     for idx in order[1:]:
         out[idx] = columns[via[idx]][out[parent[idx]]]
     return tuple(out)
-
-
-def subgroup_generator_words(
-    engine: GroupEngine, n_elements: Iterable[Element]
-) -> list[FreeWord]:
-    """Words for a small generating set of the given subgroup.
-
-    Greedy: walk the subgroup in element order, keeping each element not
-    yet generated.  Deterministic; the result generates exactly the
-    subgroup (checked).
-    """
-    n_sorted = sorted({engine.check(el) for el in n_elements})
-    chosen: list[Element] = []
-    have = {0}
-    for idx in n_sorted:
-        if idx in have:
-            continue
-        chosen.append(Element(engine, idx))
-        have = {el.index for el in subgroup_closure(engine, chosen)}
-    if have != set(n_sorted) | {0}:
-        raise NotSubgroup("element set is not a subgroup")
-    return [word_for_element(engine, el) for el in chosen]

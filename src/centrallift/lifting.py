@@ -23,10 +23,11 @@ from .engines import Element, GroupEngine
 from .modlinalg import IntMatrix, LinearSystem, SmithDecomposition, SolutionSet
 from .presentation import (
     CentralSubgroupSpec,
+    NotCentral,
+    NotHomomorphism,
+    NotSurjective,
     Presentation,
     QuotientAutSpec,
-    check_quotient_aut_on,
-    validate_central,
 )
 from .words import FreeWord, evaluate, evaluate_indices, exponent_vector, format_word
 
@@ -94,24 +95,29 @@ class Endomorphism:
 class LiftContext:
     """Everything about (G, N) that does not depend on phi, computed once.
 
-    Checks that the z-words are central and that the z-generators are
-    independent (|N| equals the product of their orders, which makes the
-    per-block correspondence one-to-one).  Holds N, the quotient engine
-    of G by N, words for N's generators, the central log table, and the
-    exponent matrix M with its Smith decomposition; the automorphic
-    targets' extended matrix is built on first use.  Each phi then costs
-    only its own check (problem) and right-hand sides.
+    The z-words generate N, so G/N is presented by the relators of G plus
+    the z-words.  Checks that the z-words are central and that the
+    z-generators are independent (|N| equals the product of their orders,
+    which makes the per-block correspondence one-to-one).  Holds N, the
+    quotient engine of G by N, the central log table, and the exponent
+    matrix M with its Smith decomposition; the automorphic targets'
+    extended matrix is built on first use.  Each phi then costs only its
+    own check (problem) and right-hand sides.
     """
 
     def __init__(
         self, pres: Presentation, engine: GroupEngine, central: CentralSubgroupSpec
     ):
-        validate_central(central, pres, engine)
         gens = [engine.generator(i) for i in range(pres.n)]
         self.pres = pres
         self.engine = engine
         self.central = central
         self.z_elements = tuple(evaluate(w, gens, engine) for w in central.z_words)
+        for i, (word, z) in enumerate(zip(central.z_words, self.z_elements)):
+            if not engines.is_central(engine, z):
+                raise NotCentral(
+                    i, f"central word {format_word(word, pres.names)!r} is not central"
+                )
         self.z_orders = tuple(engines.element_order(engine, z) for z in self.z_elements)
         self.n_elements = engines.subgroup_closure(engine, self.z_elements)
         self.n_order = len(self.n_elements)
@@ -123,8 +129,7 @@ class LiftContext:
         if engine.order() % self.n_order:
             raise AssertionError("#N does not divide the group order")
         self.quotient = engines.quotient_engine(engine, self.n_elements)
-        self.n_words = engines.subgroup_generator_words(engine, self.n_elements)
-        self.log_table = engines.central_log_table(engine, self.z_elements)
+        self.log_table = engines.central_log_table(engine, self.z_elements, self.z_orders)
         self.matrix = build_exponent_matrix(pres)
         self.smith = modlinalg.smith(self.matrix)
 
@@ -210,19 +215,32 @@ class LiftProblem:
         self.xbar = xbar
         self.pres = context.pres
         self.engine = context.engine
-        self.central = context.central
-        self.z_elements = context.z_elements
         self.z_orders = context.z_orders
-        self.n_elements = context.n_elements
-        self.n_order = context.n_order
-        self.quotient = context.quotient
 
     @classmethod
     def build(cls, context: LiftContext, phi: QuotientAutSpec) -> "LiftProblem":
-        xbar = check_quotient_aut_on(
-            phi, context.pres, context.engine, context.quotient, context.n_words
-        )
-        return cls(context, phi, tuple(xbar))
+        """Check that the representatives induce an automorphism of G/N.
+
+        The induced map is an endomorphism of G/N = <X | R, z-words> iff
+        every relator and every z-word vanishes at the projected images
+        (von Dyck).  Together with surjectivity this certifies an
+        automorphism of the finite quotient.
+        """
+        pres, engine, quotient = context.pres, context.engine, context.quotient
+        if len(phi.rep_words) != pres.n:
+            raise ValueError("need exactly one representative word per generator")
+        gens = [engine.generator(i) for i in range(pres.n)]
+        xbar = tuple(evaluate(w, gens, engine) for w in phi.rep_words)
+        images = [quotient.project(r) for r in xbar]
+        for k, rel in enumerate(pres.relators):
+            if evaluate(rel, images, quotient) != quotient.identity():
+                raise NotHomomorphism(k)
+        for word in context.central.z_words:
+            if evaluate(word, images, quotient) != quotient.identity():
+                raise NotHomomorphism(None)
+        if not engines.generates(quotient, images):
+            raise NotSurjective("images generate a proper subgroup of the quotient")
+        return cls(context, phi, xbar)
 
 
 @dataclass(frozen=True)
@@ -278,14 +296,14 @@ def build_residue_vector(problem: LiftProblem) -> list[tuple[int, ...]]:
     per_relator = [
         _residue_of_word(problem, rel, k) for k, rel in enumerate(problem.pres.relators)
     ]
-    return [tuple(r[j] for r in per_relator) for j in range(len(problem.z_elements))]
+    return [tuple(r[j] for r in per_relator) for j in range(len(problem.z_orders))]
 
 
 def materialize(problem: LiftProblem, v_blocks) -> Endomorphism:
     """Images g_i = xbar_i * prod_j z_j^(v[j][i]); relators are re-verified."""
     engine = problem.engine
     mult, power = engine._mult_index, engine._power_index
-    z_indices = [engine.check(z) for z in problem.z_elements]
+    z_indices = [engine.check(z) for z in problem.context.z_elements]
     indices = []
     for i in range(problem.pres.n):
         g = engine.check(problem.xbar[i])
@@ -304,9 +322,9 @@ def is_automorphism(problem: LiftProblem, psi: Endomorphism) -> bool:
     For a homomorphic lift the two are equivalent; disagreement is a
     fatal internal error.
     """
-    engine = problem.engine
-    z_images = [evaluate(w, psi.images, engine) for w in problem.central.z_words]
-    preserves_n = engines.subgroup_closure(engine, z_images) == problem.n_elements
+    engine, context = problem.engine, problem.context
+    z_images = [evaluate(w, psi.images, engine) for w in context.central.z_words]
+    preserves_n = engines.subgroup_closure(engine, z_images) == context.n_elements
     surjective = engines.generates(engine, psi.images)
     if preserves_n != surjective:
         raise CriterionMismatch(
@@ -401,7 +419,7 @@ def solve_aut_lifts(problem: LiftProblem, hom: LiftReport) -> LiftReport:
     by_v = {lift.v_blocks: lift for lift in hom.lifts}
     truth = {lift.endo for lift in hom.lifts if lift.automorphic}
     # f_i at the representatives: f_i(xbar) = prod_j z_j^(-u[i][j])
-    u = [_residue_of_word(problem, w, -1) for w in problem.central.z_words]
+    u = [_residue_of_word(problem, w, -1) for w in problem.context.central.z_words]
 
     targets: list[LiftTarget] = []
     lifts: list[Lift] = []
@@ -457,9 +475,9 @@ def squarefree_existence(problem: LiftProblem) -> bool:
     Only solvability of the block systems is checked; nothing is
     materialized.
     """
-    if not is_squarefree(problem.n_order):
-        raise NotSquarefree(f"#N = {problem.n_order} is not squarefree")
     context = problem.context
+    if not is_squarefree(context.n_order):
+        raise NotSquarefree(f"#N = {context.n_order} is not squarefree")
     residues = build_residue_vector(problem)
     sets = _solve_blocks(context.matrix, context.smith, residues, problem.z_orders)
     return all(s.solvable for s in sets)

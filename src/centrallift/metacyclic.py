@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from . import engines, lifting, oracle
-from .engines import Element, GroupEngine, PermutationEngine, _compose
+from .engines import Element, GroupEngine, PermutationEngine, _compose, _perm_power
 from .lifting import LiftContext
 from .presentation import CentralSubgroupSpec, Presentation, QuotientAutSpec
 from .words import FreeWord, concat, evaluate, format_word
@@ -162,18 +162,6 @@ def _perm_order(perm: tuple[int, ...]) -> int:
     return order
 
 
-def _perm_power(perm: tuple[int, ...], k: int) -> tuple[int, ...]:
-    """perm^k for k >= 0 by square-and-multiply."""
-    acc = tuple(range(len(perm)))
-    while k:
-        if k & 1:
-            acc = _compose(acc, perm)
-        k >>= 1
-        if k:
-            perm = _compose(perm, perm)
-    return acc
-
-
 def build_aut_A(
     cfg: CaseStudyConfig,
     pres_g: Presentation,
@@ -287,9 +275,7 @@ def verify_center(
     cfg: CaseStudyConfig, a_engine: PermutationEngine, params: AutParams
 ) -> tuple[Element, ...]:
     """Z(A) by exhaustive commutation; asserts Z = <x3^(p-1)> of order p^(n-2)."""
-    center = tuple(
-        el for el in a_engine.elements() if engines.is_central(a_engine, el)
-    )
+    center = engines.center(a_engine)
     z = a_engine.power(params.x3, cfg.p - 1)
     _require(
         engines.subgroup_closure(a_engine, (z,)) == center,
@@ -313,9 +299,8 @@ def verify_inner(
         (params.x1, a_engine.power(params.x3, (cfg.p - 1) * cfg.p ** (cfg.n - 3))),
     )
     _require(span == inner, "Inn(G) does not match <x1, x3^((p-1)p^(n-3))>")
-    g_center = sum(1 for el in g_engine.elements() if engines.is_central(g_engine, el))
     _require(
-        len(inner) * g_center == g_engine.order(),
+        len(inner) * len(engines.center(g_engine)) == g_engine.order(),
         "|Inn(G)| * |Z(G)| != |G|",
     )
     return inner
@@ -559,9 +544,7 @@ def run_case_study(cfg: CaseStudyConfig) -> CaseStudyResult:
     # built only now, so the exhaustive centre check above fails first
     context = LiftContext(pres_a, a_engine, _central_spec(cfg))
     quotient = context.quotient
-    quotient_center = [
-        el for el in quotient.elements() if engines.is_central(quotient, el)
-    ]
+    quotient_center = engines.center(quotient)
     _require(
         quotient.order() == a_engine.order() // len(center),
         "|A/Z| mismatch",

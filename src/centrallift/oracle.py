@@ -103,12 +103,13 @@ def _search_image_tuples(pres, engine, pools, depth_order) -> list[tuple[int, ..
 def bf_hom_lifts(problem: LiftProblem, budget: int = DEFAULT_LIFT_BUDGET) -> list[Endomorphism]:
     """All homomorphic lifts of phi by enumerating the cosets xbar_i * N."""
     n = problem.pres.n
-    required = len(problem.n_elements) ** n
+    n_elements = problem.context.n_elements
+    required = len(n_elements) ** n
     if required > budget:
         raise BudgetExceeded(required, budget, "homomorphic lift enumeration")
     engine = problem.engine
     mult = engine._mult_index
-    n_idx = [engine.check(z) for z in problem.n_elements]
+    n_idx = [engine.check(z) for z in n_elements]
     pools = [[mult(engine.check(x), z) for z in n_idx] for x in problem.xbar]
     leaves = _search_image_tuples(problem.pres, engine, pools, list(range(n)))
     return [Endomorphism(tuple(Element(engine, i) for i in leaf)) for leaf in leaves]
@@ -117,11 +118,6 @@ def bf_hom_lifts(problem: LiftProblem, budget: int = DEFAULT_LIFT_BUDGET) -> lis
 def _surjective(engine: GroupEngine, endos: list[Endomorphism]) -> list[Endomorphism]:
     """The endomorphisms whose images generate G (hence bijective)."""
     return [endo for endo in endos if engines.generates(engine, endo.images)]
-
-
-def bf_aut_lifts(problem: LiftProblem, budget: int = DEFAULT_LIFT_BUDGET) -> list[Endomorphism]:
-    """Homomorphic lifts whose images generate G (hence bijective)."""
-    return _surjective(problem.engine, bf_hom_lifts(problem, budget))
 
 
 @dataclass(frozen=True)
@@ -196,13 +192,13 @@ def bf_quotient_auts(
 ) -> list[QuotientAutSpec]:
     """One representative-word spec per element of Aut(G/N).
 
-    The quotient is presented by the relators of G plus words for the
-    generators of N, and searched on the context's quotient engine; only
-    G/N is read from the context, none of its matrices.  Each automorphism
-    is re-expressed as shortest representative words, reusable as G-words.
+    The quotient is presented by the relators of G plus the z-words, which
+    generate N, and searched on the context's quotient engine; only G/N is
+    read from the context, none of its matrices.  Each automorphism is
+    re-expressed as shortest representative words, reusable as G-words.
     """
     pres, quotient = context.pres, context.quotient
-    qpres = Presentation(pres.names, pres.relators + tuple(context.n_words))
+    qpres = Presentation(pres.names, pres.relators + context.central.z_words)
     table = bf_automorphism_group(qpres, quotient, budget)
     specs = []
     for endo in table.automorphisms:

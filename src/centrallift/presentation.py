@@ -8,15 +8,16 @@ File grammar (UTF-8, line oriented):
     central: x^2             one per central generator (optional section)
 
 A quotient-automorphism file has one ``image: word`` line per generator,
-in generator order.
+in generator order.  This module parses text only; the input errors for
+words that parse but do not fit the group (NotCentral, NotHomomorphism,
+NotSurjective) are raised by lifting.LiftContext and LiftProblem.build.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import engines
-from .words import FreeWord, WordSyntaxError, evaluate, format_word, parse_word
+from .words import FreeWord, WordSyntaxError, parse_word
 
 
 class PresentationSyntaxError(ValueError):
@@ -159,49 +160,3 @@ def parse_quotient_aut(text: str, pres: Presentation) -> QuotientAutSpec:
         )
     return QuotientAutSpec(tuple(words))
 
-
-def validate_central(
-    spec: CentralSubgroupSpec, pres: Presentation, engine: engines.GroupEngine
-) -> None:
-    """Check that every z-word evaluates to a central element."""
-    gens = [engine.generator(i) for i in range(pres.n)]
-    for i, word in enumerate(spec.z_words):
-        value = evaluate(word, gens, engine)
-        if not engines.is_central(engine, value):
-            raise NotCentral(
-                i, f"central word {format_word(word, pres.names)!r} is not central"
-            )
-
-
-def check_quotient_aut_on(
-    spec: QuotientAutSpec,
-    pres: Presentation,
-    engine: engines.GroupEngine,
-    quotient: engines.QuotientEngine,
-    n_words,
-) -> list[engines.Element]:
-    """Check that the representatives induce an automorphism of G/N, given
-    the quotient engine of G by N and words for generators of N (as from
-    engines.subgroup_generator_words); returns the representatives' values
-    in G.
-
-    The induced map is an endomorphism of G/N iff every presentation
-    relator vanishes at the projected images *and* the images annihilate
-    N itself (the presentation of G/N is that of G plus words for N's
-    generators).  Together with surjectivity this certifies an
-    automorphism of the finite quotient.
-    """
-    if len(spec.rep_words) != pres.n:
-        raise ValueError("need exactly one representative word per generator")
-    gens = [engine.generator(i) for i in range(pres.n)]
-    reps = [evaluate(w, gens, engine) for w in spec.rep_words]
-    images = [quotient.project(r) for r in reps]
-    for k, rel in enumerate(pres.relators):
-        if evaluate(rel, images, quotient) != quotient.identity():
-            raise NotHomomorphism(k)
-    for word in n_words:
-        if evaluate(word, images, quotient) != quotient.identity():
-            raise NotHomomorphism(None)
-    if not engines.generates(quotient, images):
-        raise NotSurjective("images generate a proper subgroup of the quotient")
-    return reps

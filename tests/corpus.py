@@ -106,6 +106,11 @@ CORPUS = [
 ]
 
 
+def perm(engine, el):
+    """The right-regular permutation of el: i -> index of i*el."""
+    return tuple(engine._column(el.index))
+
+
 @lru_cache(maxsize=None)
 def build(text: str):
     """(presentation, central spec, engine, N elements) for a corpus entry."""

@@ -76,7 +76,7 @@ def test_criterion_5_squarefree_equivalence():
         for spec in oracle.bf_quotient_auts(context):
             prob = context.problem(spec)
             hom_exists = bool(oracle.bf_hom_lifts(prob))
-            aut_exists = bool(oracle.bf_aut_lifts(prob))
+            aut_exists = bool(oracle._surjective(engine, oracle.bf_hom_lifts(prob)))
             assert hom_exists == aut_exists, name
             assert lifting.squarefree_existence(prob) == hom_exists, name
             checked += 1
@@ -131,8 +131,8 @@ def test_criterion_7_todd_coxeter_orders():
         engine = engines.todd_coxeter(pres, max_cosets=2000)
         assert engine.order() == expected
         # independent closure oracle over the generator permutations
-        perms = [engine.perm(engine.generator(i)) for i in range(engine.ngens)]
-        seen = {tuple(range(engine.degree))}
+        perms = [corpus.perm(engine, engine.generator(i)) for i in range(engine.ngens)]
+        seen = {tuple(range(engine.order()))}
         frontier = list(seen)
         while frontier:
             nxt = []

@@ -211,25 +211,21 @@ def test_verify_decomposes_each_matrix_once(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_builds_the_quotient_once(tmp_path, capsys, monkeypatch):
-    # the oracle's Aut(G/N) search reads G/N and N's generator words from
-    # the verify command's LiftContext instead of building its own
+    # the oracle's Aut(G/N) search reads G/N from the verify command's
+    # LiftContext, and presents it with the z-words, instead of building
+    # its own
     pres = write(tmp_path, "heis.grp", corpus.HEISENBERG)
     calls = []
+    real = engines.quotient_engine
 
-    def counting(name):
-        real = getattr(engines, name)
+    def counting(*args):
+        calls.append("quotient_engine")
+        return real(*args)
 
-        def wrapper(*args):
-            calls.append(name)
-            return real(*args)
-
-        return wrapper
-
-    for name in ("quotient_engine", "subgroup_generator_words"):
-        monkeypatch.setattr(engines, name, counting(name))
+    monkeypatch.setattr(engines, "quotient_engine", counting)
     assert cli.main(["verify", pres]) == 0
     assert json.loads(capsys.readouterr().out)["phi_count"] == 48
-    assert sorted(calls) == ["quotient_engine", "subgroup_generator_words"]
+    assert calls == ["quotient_engine"]
 
 
 def test_internal_error_exit_4(tmp_path, capsys, monkeypatch):
@@ -270,6 +266,11 @@ def test_bad_input_still_exit_1(tmp_path, capsys):
     c4_phi = write(tmp_path, "x.img", "image: x\n")
     assert cli.main(["solve", c4, c4_phi, "--max-cosets", "0"]) == 1
     assert "--max-cosets" in capsys.readouterr().err
+    # a file that is not UTF-8 is bad input too, not a traceback
+    bad = tmp_path / "bad.grp"
+    bad.write_bytes(b"\xffgenerators: x\n")
+    assert cli.main(["solve", str(bad), c4_phi]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot read {bad}: ")
 
 
 def test_programming_error_is_not_an_input_error(c4_files, monkeypatch):

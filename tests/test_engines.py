@@ -11,6 +11,7 @@ from centrallift.engines import (
     NotNormal,
     NotSubgroup,
     PermutationEngine,
+    center,
     central_log_table,
     element_order,
     generates,
@@ -34,8 +35,8 @@ TC_CASES = [
 
 def closure_order(engine):
     # independent oracle: close the generator permutations by composition
-    perms = [engine.perm(engine.generator(i)) for i in range(engine.ngens)]
-    seen = {tuple(range(engine.degree))}
+    perms = [corpus.perm(engine, engine.generator(i)) for i in range(engine.ngens)]
+    seen = {tuple(range(engine.order()))}
     frontier = list(seen)
     while frontier:
         nxt = []
@@ -75,7 +76,7 @@ def test_todd_coxeter_limit():
 def test_engine_group_axioms_sampled():
     _, _, engine, _ = corpus.build(corpus.Q8)
     els = engine.elements()
-    assert len({engine.perm(e) for e in els}) == len(els)
+    assert len({corpus.perm(engine, e) for e in els}) == len(els)
     rng = random.Random(2)
     for _ in range(200):
         a, b, c = (rng.choice(els) for _ in range(3))
@@ -158,12 +159,22 @@ def test_is_central():
     assert is_central(c4, c4.power(c4.generator(0), 2))
     _, _, meta, _ = corpus.build(corpus.METACYCLIC34)
     assert not is_central(meta, meta.generator(1))
+    # center against the all-pairs definition
+    _, _, heis, _ = corpus.build(corpus.HEISENBERG)
+    for engine in (c4, meta, heis):
+        els = engine.elements()
+        expected = tuple(
+            h for h in els
+            if all(engine.multiply(h, g) == engine.multiply(g, h) for g in els)
+        )
+        assert center(engine) == expected
+    assert (len(center(c4)), len(center(meta)), len(center(heis))) == (4, 9, 3)
 
 
 def test_central_log():
     _, _, c4, _ = corpus.build(corpus.C4)
     z = c4.power(c4.generator(0), 2)
-    table = central_log_table(c4, [z])
+    table = central_log_table(c4, [z], [2])
     assert table == {c4.identity().index: (0,), z.index: (1,)}
     assert c4.generator(0).index not in table
 
@@ -173,14 +184,14 @@ def test_central_log_heisenberg_commutator():
     gens = [engine.generator(i) for i in range(3)]
     comm = words.evaluate(words.parse_word("x^-1*y^-1*x*y", pres.names), gens, engine)
     sq = engine.multiply(comm, comm)
-    assert central_log_table(engine, [comm])[sq.index] == (2,)
+    assert central_log_table(engine, [comm], [3])[sq.index] == (2,)
 
 
 def test_central_log_reconstructs():
     pres, central, engine, n_elements = corpus.build(corpus.C2C2C4_AB)
     gens = [engine.generator(i) for i in range(pres.n)]
     z = [words.evaluate(w, gens, engine) for w in central.z_words]
-    table = central_log_table(engine, z)
+    table = central_log_table(engine, z, [element_order(engine, zi) for zi in z])
     assert len(table) == len(n_elements)
     for h in n_elements:
         exps = table[h.index]
@@ -194,7 +205,7 @@ def test_central_log_lexicographically_least():
     # redundant generators: (z, z) for C2; identity must log to (0, 0)
     _, _, c4, _ = corpus.build(corpus.C4)
     z = c4.power(c4.generator(0), 2)
-    table = central_log_table(c4, [z, z])
+    table = central_log_table(c4, [z, z], [2, 2])
     assert table[c4.identity().index] == (0, 0)
     assert table[z.index] == (0, 1)
 
@@ -314,9 +325,9 @@ def regular_engines():
 
 def test_regular_engines_number_elements_in_closure_order():
     for engine in regular_engines():
-        gens = [engine.perm(engine.generator(i)) for i in range(engine.ngens)]
-        closure = bfs_closure(gens, engine.degree)
-        assert [engine.perm(el) for el in engine.elements()] == closure
+        gens = [corpus.perm(engine, engine.generator(i)) for i in range(engine.ngens)]
+        closure = bfs_closure(gens, engine.order())
+        assert [corpus.perm(engine, el) for el in engine.elements()] == closure
         index = {p: i for i, p in enumerate(closure)}
         for i, p in enumerate(closure):
             for j, q in enumerate(closure):

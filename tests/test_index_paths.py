@@ -39,7 +39,7 @@ def test_memoized_inverse_matches_column_scan(data):
     engine, fresh = ENGINES[name](), ENGINES[name]()
     visit = data.draw(st.permutations(range(engine.order())))
     for i in visit:
-        assert engine._inv_index(i) == fresh.perm(fresh.element(i)).index(0)
+        assert engine._inv_index(i) == corpus.perm(fresh, fresh.element(i)).index(0)
 
 
 def naive_closure(engine, seeds):
@@ -166,7 +166,7 @@ S3 = "generators: x y\nrelator: x^3\nrelator: y^2\nrelator: x*y*x*y"
 def heisenberg_quotient():
     pres, central, engine, _ = corpus.build(corpus.HEISENBERG)
     context = LiftContext(pres, engine, central)
-    return Presentation(pres.names, pres.relators + tuple(context.n_words)), context.quotient
+    return Presentation(pres.names, pres.relators + central.z_words), context.quotient
 
 
 def presented(text):
@@ -265,7 +265,8 @@ def test_bf_hom_lifts_matches_coset_product(data):
     context, phis = corpus_context(text)
     problem = context.problem(data.draw(st.sampled_from(phis)))
     engine = problem.engine
-    cosets = [[engine.multiply(x, z) for z in problem.n_elements] for x in problem.xbar]
+    n_elements = problem.context.n_elements
+    cosets = [[engine.multiply(x, z) for z in n_elements] for x in problem.xbar]
     expected = sorted(
         tuple(im.index for im in images)
         for images in itertools.product(*cosets)

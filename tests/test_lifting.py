@@ -133,7 +133,7 @@ def test_materialize_shift():
 def test_materialized_lifts_satisfy_lift_equation():
     prob = problem(corpus.Q8)
     rep = solve_hom_lifts(prob)
-    q = prob.quotient
+    q = prob.context.quotient
     for lift in rep.lifts:
         for i in range(prob.pres.n):
             assert q.project(lift.endo.images[i]) == q.project(prob.xbar[i])

@@ -1,10 +1,14 @@
 import pytest
 
 import corpus
-from centrallift import engines, lifting, oracle
+from centrallift import cli, engines, lifting, oracle
 from centrallift.lifting import LiftContext
-from centrallift.presentation import QuotientAutSpec, parse_presentation
-from centrallift.words import FreeWord
+from centrallift.presentation import (
+    QuotientAutSpec,
+    parse_presentation,
+    parse_presentation_file,
+)
+from centrallift.words import FreeWord, format_word
 
 
 def identity_spec(pres):
@@ -37,14 +41,14 @@ def test_bf_aut_lifts_subset():
     for text in (corpus.C4, corpus.C6, corpus.Q8):
         prob = problem(text)
         hom = oracle.bf_hom_lifts(prob)
-        aut = oracle.bf_aut_lifts(prob)
+        aut = oracle._surjective(prob.engine, hom)
         assert set(aut) <= set(hom)
 
 
 def test_bf_aut_lifts_c6():
     prob = problem(corpus.C6)
     assert len(oracle.bf_hom_lifts(prob)) == 3
-    assert len(oracle.bf_aut_lifts(prob)) == 2
+    assert len(oracle._surjective(prob.engine, oracle.bf_hom_lifts(prob))) == 2
 
 
 def test_budget_exceeded():
@@ -107,14 +111,12 @@ def test_bf_quotient_auts_counts():
 
 
 def test_bf_quotient_auts_words_represent_automorphisms():
-    from centrallift.presentation import check_quotient_aut_on
-
-    pres, _, engine, n_elements = corpus.build(corpus.C2C2C4_AC2)
-    specs = oracle.bf_quotient_auts(context_for(corpus.C2C2C4_AC2))
-    q = engines.quotient_engine(engine, n_elements)
-    n_words = engines.subgroup_generator_words(engine, n_elements)
+    pres, _, engine, _ = corpus.build(corpus.C2C2C4_AC2)
+    context = context_for(corpus.C2C2C4_AC2)
+    specs = oracle.bf_quotient_auts(context)
+    q = context.quotient
     for spec in specs:
-        check_quotient_aut_on(spec, pres, engine, q, n_words)
+        context.problem(spec)
     # distinct induced maps
     gens = [engine.generator(i) for i in range(pres.n)]
     from centrallift.words import evaluate
@@ -135,6 +137,37 @@ def test_compare_corpus(name, text):
     for spec in oracle.bf_quotient_auts(context):
         report = oracle.compare(context.problem(spec))
         assert report.match
+
+
+def inverted_z_words(text):
+    """The same file with each central word replaced by its inverse."""
+    pres, central = parse_presentation_file(text)
+    lines = [line for line in text.splitlines() if not line.startswith("central:")]
+    for word in central.z_words:
+        inverse = FreeWord(tuple((g, -e) for g, e in reversed(word.letters)))
+        lines.append("central: " + format_word(inverse, pres.names))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name,text", corpus.CORPUS)
+def test_inverted_z_words_define_the_same_quotient(name, text, tmp_path, capsys):
+    # any independent words generating N present the same G/N = <X | R, z-words>:
+    # the inverted z-words give the same Aut(G/N) specs, accept each of them,
+    # and verify writes the same report
+    other = inverted_z_words(text)
+    assert other != text
+    specs = oracle.bf_quotient_auts(context_for(text))
+    other_context = context_for(other)
+    assert oracle.bf_quotient_auts(other_context) == specs
+    for spec in specs:
+        other_context.problem(spec)
+    reports = []
+    for i, version in enumerate((text, other)):
+        path = tmp_path / f"{i}.grp"
+        path.write_text(version)
+        assert cli.main(["verify", str(path)]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
 
 
 def test_compare_detects_injected_bug(monkeypatch):

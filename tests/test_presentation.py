@@ -1,7 +1,7 @@
 import pytest
 
 import corpus
-from centrallift.engines import quotient_engine, subgroup_generator_words
+from centrallift.lifting import LiftContext
 from centrallift.presentation import (
     CentralSubgroupSpec,
     NotCentral,
@@ -9,11 +9,9 @@ from centrallift.presentation import (
     NotSurjective,
     PresentationSyntaxError,
     QuotientAutSpec,
-    check_quotient_aut_on,
     parse_presentation,
     parse_presentation_file,
     parse_quotient_aut,
-    validate_central,
 )
 from centrallift.words import FreeWord, format_word, parse_word
 
@@ -89,97 +87,85 @@ def test_parse_quotient_aut():
     assert err.value.line == 2
 
 
+# Parsed files are checked against the group by lifting.LiftContext (the
+# central words) and LiftProblem.build (the images of phi).
+
+
+def context_for(text, central=None):
+    pres, spec, engine, _ = corpus.build(text)
+    return LiftContext(pres, engine, central or spec)
+
+
 def test_validate_central_abelian():
-    pres, central, engine, _ = corpus.build(corpus.C4)
-    validate_central(central, pres, engine)
+    context_for(corpus.C4)
 
 
 def test_validate_central_commutator_is_central():
-    pres, _, engine, _ = corpus.build(corpus.HEISENBERG)
+    pres = parse_presentation(corpus.HEISENBERG)
     spec = CentralSubgroupSpec((parse_word("x^-1*y^-1*x*y", pres.names),))
-    validate_central(spec, pres, engine)
+    context_for(corpus.HEISENBERG, spec)
 
 
 def test_validate_central_rejects_noncentral():
-    pres, _, engine, _ = corpus.build(corpus.METACYCLIC34)
+    pres = parse_presentation(corpus.METACYCLIC34)
     spec = CentralSubgroupSpec((parse_word("y", pres.names),))
     with pytest.raises(NotCentral) as err:
-        validate_central(spec, pres, engine)
+        context_for(corpus.METACYCLIC34, spec)
     assert err.value.index == 0
 
 
 def test_validate_quotient_aut_identity():
-    pres, central, engine, n_elements = corpus.build(corpus.C4)
-    q = quotient_engine(engine, n_elements)
-    n_words = subgroup_generator_words(engine, n_elements)
-    spec = QuotientAutSpec((parse_word("x", pres.names),))
-    check_quotient_aut_on(spec, pres, engine, q, n_words)
+    context = context_for(corpus.C4)
+    context.problem(QuotientAutSpec((parse_word("x", context.pres.names),)))
 
 
 def test_validate_quotient_aut_x_cubed():
     # x -> x^3 agrees with x -> x modulo <x^2>
-    pres, central, engine, n_elements = corpus.build(corpus.C4)
-    q = quotient_engine(engine, n_elements)
-    n_words = subgroup_generator_words(engine, n_elements)
-    spec = QuotientAutSpec((parse_word("x^3", pres.names),))
-    check_quotient_aut_on(spec, pres, engine, q, n_words)
+    context = context_for(corpus.C4)
+    context.problem(QuotientAutSpec((parse_word("x^3", context.pres.names),)))
 
 
 def test_validate_quotient_aut_not_surjective():
-    pres, central, engine, n_elements = corpus.build(corpus.C4)
-    q = quotient_engine(engine, n_elements)
-    n_words = subgroup_generator_words(engine, n_elements)
-    spec = QuotientAutSpec((parse_word("x^2", pres.names),))
+    context = context_for(corpus.C4)
+    spec = QuotientAutSpec((parse_word("x^2", context.pres.names),))
     with pytest.raises(NotSurjective):
-        check_quotient_aut_on(spec, pres, engine, q, n_words)
+        context.problem(spec)
 
 
 def test_validate_quotient_aut_must_annihilate_n():
     # In C2 x C4 = <a, c>, mapping a -> c^2 satisfies every relator of the
     # presentation and generates the quotient by <a>, yet is not well
     # defined on it: a lies in N but its image does not vanish.
-    text = (
+    context = context_for(
         "generators: a c\n"
         "relator: a^2\nrelator: c^4\nrelator: a^-1*c^-1*a*c\ncentral: a\n"
     )
-    pres, central, engine, n_elements = corpus.build(text)
-    q = quotient_engine(engine, n_elements)
-    n_words = subgroup_generator_words(engine, n_elements)
-    spec = QuotientAutSpec(
-        (parse_word("c^2", pres.names), parse_word("c", pres.names))
-    )
+    names = context.pres.names
+    spec = QuotientAutSpec((parse_word("c^2", names), parse_word("c", names)))
     with pytest.raises(NotHomomorphism) as err:
-        check_quotient_aut_on(spec, pres, engine, q, n_words)
+        context.problem(spec)
     assert err.value.relator_index is None
 
 
 def test_validate_quotient_aut_relator_failure():
     # Heisenberg mod center: sending z's coset to x's breaks the relator
     # [x, y] = z in the quotient, and the error names it.
-    pres, central, engine, n_elements = corpus.build(corpus.HEISENBERG)
-    q = quotient_engine(engine, n_elements)
-    n_words = subgroup_generator_words(engine, n_elements)
+    context = context_for(corpus.HEISENBERG)
+    names = context.pres.names
     spec = QuotientAutSpec(
-        (
-            parse_word("x", pres.names),
-            parse_word("y", pres.names),
-            parse_word("x", pres.names),
-        )
+        (parse_word("x", names), parse_word("y", names), parse_word("x", names))
     )
     with pytest.raises(NotHomomorphism) as err:
-        check_quotient_aut_on(spec, pres, engine, q, n_words)
+        context.problem(spec)
     assert err.value.relator_index == 3
 
 
 def test_validate_oracle_agreement():
-    # validate accepts exactly the specs the brute-force quotient list contains
+    # the checks accept exactly the specs the brute-force quotient list contains
     from centrallift import oracle
-    from centrallift.lifting import LiftContext
 
-    pres, central, engine, n_elements = corpus.build(corpus.Q8)
-    q = quotient_engine(engine, n_elements)
-    n_words = subgroup_generator_words(engine, n_elements)
-    specs = oracle.bf_quotient_auts(LiftContext(pres, engine, central))
+    context = context_for(corpus.Q8)
+    specs = oracle.bf_quotient_auts(context)
     for spec in specs:
-        check_quotient_aut_on(spec, pres, engine, q, n_words)
+        context.problem(spec)
     assert len(specs) == 6  # Aut(C2 x C2)

@@ -1,4 +1,5 @@
-"""The package imports nothing outside the standard library."""
+"""The package imports nothing outside the standard library, and its
+parsing modules import none of the group layers."""
 
 import ast
 import sys
@@ -25,3 +26,16 @@ def test_package_imports_only_the_standard_library():
                 if name.split(".")[0] not in sys.stdlib_module_names
             ]
     assert outside == []
+
+
+def test_parsing_modules_import_no_group_layer():
+    # relative imports only: an absolute import of centrallift fails the
+    # test above
+    package = Path(centrallift.__file__).parent
+    for name in ("words", "presentation"):
+        path = package / f"{name}.py"
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                imported.update([node.module] if node.module else [a.name for a in node.names])
+        assert imported.isdisjoint({"engines", "lifting", "oracle"}), (name, imported)
