@@ -336,6 +336,14 @@ def todd_coxeter(
         raise ValueError("max_cosets must be >= 1")
     ngens = len(presentation.names)
     nsyms = 2 * ngens
+    # relators are expanded letter by letter: refuse any longer in total
+    # than a full max_cosets table, before building them
+    length = sum(abs(exp) for rel in presentation.relators for _, exp in rel.letters)
+    if length > max_cosets * nsyms:
+        raise CosetLimitExceeded(
+            f"relators of total length {length} exceed the {max_cosets * nsyms} "
+            f"entries of a {max_cosets}-coset table; raise --max-cosets"
+        )
 
     seqs: list[list[int]] = []
     for rel in presentation.relators:

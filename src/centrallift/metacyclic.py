@@ -67,14 +67,19 @@ class CaseStudyConfig:
     order_budget: int = 200  # bound on |Aut(G)| = (p-1)*p^n
 
     def __post_init__(self):
-        if self.p < 3 or lifting._smallest_prime_factor(self.p) != self.p:
+        if self.p < 3:
             raise InvalidConfig("p must be an odd prime")
         if self.n < 4:
             raise InvalidConfig("n must be >= 4")
+        # |Aut(G)| = (p-1)*p^n exceeds both p and 2^n: a p or an n past the
+        # budget is refused before p is trial-divided or p^n is formed
+        over = f"|Aut(G)| = {self.p - 1}*{self.p}^{self.n} exceeds the budget {self.order_budget}"
+        if self.p > self.order_budget or self.n > self.order_budget.bit_length():
+            raise InvalidConfig(over)
+        if lifting._smallest_prime_factor(self.p) != self.p:
+            raise InvalidConfig("p must be an odd prime")
         if self.aut_order > self.order_budget:
-            raise InvalidConfig(
-                f"|Aut(G)| = {self.aut_order} exceeds the budget {self.order_budget}"
-            )
+            raise InvalidConfig(over)
 
     @property
     def group_order(self) -> int:
@@ -171,17 +176,17 @@ def build_aut_A(
     """Aut(G) as a composition engine, generated by the fitted triple.
 
     Automorphisms are permutations of G's element indices.  The parameter
-    search runs on the oracle's sorted maps as plain tuples: it tries
-    primitive roots a of both p^(n-2) and p^(n-1), j and k in [0, p), x1
-    among the order-p maps of inner_maps (conjugation by x first) and x3
-    among maps of maximal order (p-1)p^(n-2).  The one engine is the
-    closure of the first triple that fits and generates every map.
+    search runs on the sorted maps of the oracle's automorphisms as plain
+    tuples: it tries primitive roots a of both p^(n-2) and p^(n-1), j and
+    k in [0, p), x1 among the order-p maps of inner_maps (conjugation by x
+    first) and x3 among maps of maximal order (p-1)p^(n-2).  The one engine
+    is the closure of the first triple that fits and generates every map.
     """
     p, n = cfg.p, cfg.n
     auts = oracle.bf_automorphism_group(pres_g, g_engine)
-    _require(auts.order == cfg.aut_order, "automorphism group order mismatch")
+    _require(len(auts) == cfg.aut_order, "automorphism group order mismatch")
 
-    maps = sorted(auts.maps)
+    maps = sorted(engines.map_images(g_engine, a.images) for a in auts)
     order_of = {m: _perm_order(m) for m in maps}
     conj_x = _conjugation_map(g_engine, g_engine.generator(0))
 
@@ -424,14 +429,14 @@ def verify_pi_surjective(
         context.pres, a_engine, budget=max(oracle.DEFAULT_AUT_BUDGET, a_engine.order() ** 3)
     )
     _require(
-        aut_a.order == fiber * len(phis),
+        len(aut_a) == fiber * len(phis),
         "|Aut(A)| != p^(n-3) * |Aut(A/Z)|",
     )
     return SurjectivityReport(
         quotient_aut_count=len(phis),
         lifts_per_phi=fiber,
         all_automorphic=True,
-        aut_of_a_count=aut_a.order,
+        aut_of_a_count=len(aut_a),
     )
 
 

@@ -8,12 +8,13 @@ a relator on one generator filters that generator's candidates once, and
 every other relator is checked as soon as all generators in its support
 are assigned, cheapest (shortest) relator first.  A tuple that passes
 every relator is an endomorphism (von Dyck), so an automorphism test is
-one map of the whole group plus "the map is a permutation".
+one map of the whole group plus "the map is a permutation"; the map is
+dropped once that test is made.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import engines, lifting
 from .engines import Element, GroupEngine
@@ -120,18 +121,6 @@ def _surjective(engine: GroupEngine, endos: list[Endomorphism]) -> list[Endomorp
     return [endo for endo in endos if engines.generates(engine, endo.images)]
 
 
-@dataclass(frozen=True)
-class AutGroupTable:
-    """The automorphism group: endomorphisms plus their maps on element indices."""
-
-    automorphisms: tuple[Endomorphism, ...]
-    maps: tuple[tuple[int, ...], ...] = field(repr=False)
-
-    @property
-    def order(self) -> int:
-        return len(self.automorphisms)
-
-
 def _greedy_depth_order(pres: Presentation, candidates) -> list[int]:
     """Assignment order: most newly checkable relators, then fewest candidates."""
     supports = [
@@ -154,14 +143,15 @@ def _greedy_depth_order(pres: Presentation, candidates) -> list[int]:
 
 def bf_automorphism_group(
     pres: Presentation, engine: GroupEngine, budget: int = DEFAULT_AUT_BUDGET
-) -> AutGroupTable:
-    """All automorphisms of the engine's group, by image-tuple search.
+) -> list[Endomorphism]:
+    """All automorphisms of the engine's group, by image-tuple search, sorted.
 
     Candidate images are restricted to elements of the same order as the
     generator (automorphisms preserve order); relators are applied as
     soon as their support is assigned, so every tuple that passes them is
     an endomorphism; finally the map it defines must be a permutation.
-    That map is computed once and kept in the table.
+    That map is built once per endomorphism, checked to send each
+    generator to its image, and dropped.
     """
     n = pres.n
     order = engine.order()
@@ -174,17 +164,17 @@ def bf_automorphism_group(
         target = orders[engine.generator(i).index]
         pools.append([j for j in range(order) if orders[j] == target])
     depth_order = _greedy_depth_order(pres, pools)
+    gens = [engine.generator(i).index for i in range(n)]
 
-    auts, maps = [], []
+    auts = []
     for leaf in _search_image_tuples(pres, engine, pools, depth_order):
         images = tuple(Element(engine, i) for i in leaf)
         image_map = engines.map_images(engine, images)
+        if any(image_map[g] != im for g, im in zip(gens, leaf)):
+            raise AssertionError("an endomorphism's map moves a generator's image")
         if len(set(image_map)) == order:
             auts.append(Endomorphism(images))
-            maps.append(image_map)
-    if len(set(maps)) != len(maps):
-        raise AssertionError("distinct automorphisms with identical maps")
-    return AutGroupTable(tuple(auts), tuple(maps))
+    return auts
 
 
 def bf_quotient_auts(
@@ -199,9 +189,8 @@ def bf_quotient_auts(
     """
     pres, quotient = context.pres, context.quotient
     qpres = Presentation(pres.names, pres.relators + context.central.z_words)
-    table = bf_automorphism_group(qpres, quotient, budget)
     specs = []
-    for endo in table.automorphisms:
+    for endo in bf_automorphism_group(qpres, quotient, budget):
         words = tuple(engines.word_for_element(quotient, im) for im in endo.images)
         specs.append(QuotientAutSpec(words))
     return specs

@@ -175,6 +175,10 @@ def test_demo_rejects_bad_parameters(capsys):
     assert "odd" in capsys.readouterr().err
     assert cli.main(["demo", "--p", "3", "--n", "3"]) == 1
     assert "n must be" in capsys.readouterr().err
+    # refused by the budget before p is trial-divided or p^n is formed
+    for p, n in (("2305843009213693951", "4"), ("3", "100000000")):
+        assert cli.main(["demo", "--p", p, "--n", n]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_json_reports_are_byte_identical(c4_files, tmp_path):
@@ -265,6 +269,10 @@ def test_bad_input_still_exit_1(tmp_path, capsys):
     c4 = write(tmp_path, "c4.grp", corpus.C4)
     c4_phi = write(tmp_path, "x.img", "image: x\n")
     assert cli.main(["solve", c4, c4_phi, "--max-cosets", "0"]) == 1
+    assert "--max-cosets" in capsys.readouterr().err
+    # a relator longer than a full coset table is refused before expansion
+    long = write(tmp_path, "long.grp", "generators: x\nrelator: x^1000000000\ncentral: x\n")
+    assert cli.main(["solve", long, c4_phi]) == 1
     assert "--max-cosets" in capsys.readouterr().err
     # a file that is not UTF-8 is bad input too, not a traceback
     bad = tmp_path / "bad.grp"

@@ -148,3 +148,15 @@ def test_infinite_group_exceeds_the_limit():
     pres = parse_presentation("generators: x y\nrelator: x*y*x^-1*y^-1")
     with pytest.raises(CosetLimitExceeded):
         todd_coxeter(pres, max_cosets=1000)
+
+
+
+def test_relators_longer_than_a_full_table_are_refused_before_expansion():
+    # x^(10^9) would be a 10^9-letter list; the default limit admits
+    # 2 * 50000 letters, max_cosets * 2 * ngens
+    with pytest.raises(CosetLimitExceeded, match="total length 1000000000"):
+        todd_coxeter(parse_presentation("generators: x\nrelator: x^1000000000"))
+    c2 = parse_presentation("generators: x\nrelator: x^4\nrelator: x^6")
+    assert todd_coxeter(c2, max_cosets=5).order() == 2
+    with pytest.raises(CosetLimitExceeded, match="total length 10"):
+        todd_coxeter(c2, max_cosets=4)

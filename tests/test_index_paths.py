@@ -223,10 +223,10 @@ def test_bf_automorphism_group_matches_generates_reference(data):
     # the relator order of the presentation must not matter
     pres, engine = AUT_CASES[data.draw(st.sampled_from(sorted(AUT_CASES)))]()
     relators = data.draw(st.permutations(pres.relators))
-    table = oracle.bf_automorphism_group(Presentation(pres.names, tuple(relators)), engine)
+    found = oracle.bf_automorphism_group(Presentation(pres.names, tuple(relators)), engine)
     auts, maps = reference_automorphisms(pres, engine)
-    assert [endo.key() for endo in table.automorphisms] == auts
-    assert list(table.maps) == maps
+    assert [endo.key() for endo in found] == auts
+    assert [engines.map_images(engine, endo.images) for endo in found] == maps
 
 
 def test_bf_automorphism_group_maps_each_endomorphism_once(monkeypatch):
@@ -245,10 +245,27 @@ def test_bf_automorphism_group_maps_each_endomorphism_once(monkeypatch):
     endomorphisms = len(order_preserving_endomorphisms(pres, engine))
     monkeypatch.setattr(engines, "generates", generates)
     monkeypatch.setattr(engines, "map_images", map_images)
-    table = oracle.bf_automorphism_group(pres, engine)
-    assert table.order == 162
+    assert len(oracle.bf_automorphism_group(pres, engine)) == 162
     assert calls["generates"] == 0
     assert calls["map_images"] == endomorphisms
+
+
+def test_bf_automorphism_group_checks_each_map_on_the_generators(monkeypatch):
+    # a permutation that sends x elsewhere than its image in the leaf must
+    # not pass as the map of that leaf
+    pres, engine = AUT_CASES["metacyclic81"]()
+    real_map_images = engines.map_images
+    x = engine.generator(0).index
+
+    def moved(*args):
+        image_map = list(real_map_images(*args))
+        other = image_map.index(0 if image_map[x] != 0 else 1)
+        image_map[x], image_map[other] = image_map[other], image_map[x]
+        return tuple(image_map)
+
+    monkeypatch.setattr(engines, "map_images", moved)
+    with pytest.raises(AssertionError, match="generator"):
+        oracle.bf_automorphism_group(pres, engine)
 
 
 @lru_cache(maxsize=None)
