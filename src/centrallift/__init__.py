@@ -10,7 +10,7 @@ from .presentation import (
     parse_presentation_file,
     parse_quotient_aut,
 )
-from .engines import PermutationEngine, todd_coxeter, quotient_engine
+from .engines import PermutationEngine, todd_coxeter
 from .lifting import (
     Endomorphism,
     LiftContext,
@@ -36,7 +36,6 @@ __all__ = [
     "parse_quotient_aut",
     "PermutationEngine",
     "todd_coxeter",
-    "quotient_engine",
     "Endomorphism",
     "LiftContext",
     "LiftProblem",

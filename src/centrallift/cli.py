@@ -115,7 +115,7 @@ def _load_context(args) -> LiftContext:
     if args.max_cosets < 1:
         raise CliError("--max-cosets must be >= 1")
     engine = engines.todd_coxeter(pres, max_cosets=args.max_cosets)
-    return LiftContext(pres, engine, central)
+    return LiftContext(pres, engine, central, args.max_cosets)
 
 
 def _load_problem(args) -> LiftProblem:

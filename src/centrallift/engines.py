@@ -6,10 +6,10 @@ each generator and its inverse on the indices.  Column j of the Cayley
 table (i -> i*j) is built on first use from the column of j's parent in
 the BFS word tree, so hot loops that multiply by a few fixed elements
 build only their columns.  Engines come from todd_coxeter (the regular
-action on the coset table), quotient_engine (G/N acting on the cosets
-of a normal N) and PermutationEngine (automorphism groups, as sorted
-permutations of the base group's element indices).  Lazy caches only
-ever add columns, inverses and powers, so concurrent readers are safe.
+action on the coset table of a presentation, G/N included) and
+PermutationEngine (automorphism groups, as sorted permutations of the
+base group's element indices).  Lazy caches only ever add columns,
+inverses and powers, so concurrent readers are safe.
 """
 
 from __future__ import annotations
@@ -35,15 +35,7 @@ class CosetLimitExceeded(RuntimeError):
 
 
 class NotInSubgroup(ValueError):
-    """Element is not a product of the given central generators."""
-
-
-class NotSubgroup(ValueError):
-    """Element set is not closed under multiplication."""
-
-
-class NotNormal(ValueError):
-    """Element set is not invariant under conjugation."""
+    """A permutation is not an element of the permutation engine."""
 
 
 class Element:
@@ -270,16 +262,13 @@ class PermutationEngine(GroupEngine):
             raise NotInSubgroup("permutation is not an element of this engine") from None
 
 
-def _regular_steps(
-    npoints: int, actions: list[list[int]]
-) -> tuple[list[int], list[list[int]]]:
+def _regular_steps(npoints: int, actions: list[list[int]]) -> list[list[int]]:
     """Engine steps of a regular action on points 0..npoints-1.
 
     actions[2g][p] is the image of point p under x_g, actions[2g+1][p]
     under x_g^-1.  Points are numbered by BFS from point 0 over the
     generators in order, the order a BFS closure of the generator
-    permutations lists the group elements.  Returns point -> element
-    index, and the steps.
+    permutations lists the group elements.
     """
     number = [-1] * npoints
     number[0] = 0
@@ -292,7 +281,7 @@ def _regular_steps(
                 points.append(q)
     if len(points) != npoints:
         raise AssertionError("regular action order does not match point count")
-    return number, [[number[act[p]] for p in points] for act in actions]
+    return [[number[act[p]] for p in points] for act in actions]
 
 
 def _check_coset_table(presentation: "Presentation", actions: list[list[int]]) -> None:
@@ -453,8 +442,7 @@ def todd_coxeter(
     renumber = {c: i for i, c in enumerate(live_list)}
     actions = [[renumber[table[c][d]] for c in live_list] for d in range(nsyms)]
     _check_coset_table(presentation, actions)
-    _, steps = _regular_steps(len(live_list), actions)
-    return GroupEngine(len(live_list), steps)
+    return GroupEngine(len(live_list), _regular_steps(len(live_list), actions))
 
 
 def _closure_indices(engine: GroupEngine, seeds: Iterable[Element], limit: int) -> list[int]:
@@ -538,56 +526,6 @@ def central_log_table(
         if idx not in table:
             table[idx] = exps
     return table
-
-
-class QuotientEngine(GroupEngine):
-    """Regular action of G/N for a normal subgroup N of the parent engine."""
-
-    def __init__(self, parent_engine: GroupEngine, order: int, steps, image_of):
-        super().__init__(order, steps)
-        self.parent = parent_engine
-        self._image_of = image_of  # parent element index -> quotient element index
-
-    def project(self, el: Element) -> Element:
-        return Element(self, self._image_of[self.parent.check(el)])
-
-
-def quotient_engine(engine: GroupEngine, n_elements: Iterable[Element]) -> QuotientEngine:
-    """Engine for G/N with its projection map; N must be a normal subgroup."""
-    n_idx = sorted({engine.check(el) for el in n_elements})
-    n_set = set(n_idx)
-    if 0 not in n_set:
-        raise NotSubgroup("subgroup must contain the identity")
-    for a in n_idx:
-        for b in n_idx:
-            if engine._mult_index(a, b) not in n_set:
-                raise NotSubgroup("element set is not closed under multiplication")
-    for g in range(engine.ngens):
-        gi = engine._gen_indices[g]
-        ginv = engine._inv_index(gi)
-        for a in n_idx:
-            conj = engine._mult_index(engine._mult_index(ginv, a), gi)
-            if conj not in n_set:
-                raise NotNormal("subgroup is not normalized by the generators")
-
-    order = engine.order()
-    if order % len(n_idx):
-        raise NotSubgroup("subgroup size does not divide the group order")
-    coset_of = [-1] * order
-    reps = []
-    for i in range(order):
-        if coset_of[i] != -1:
-            continue
-        point = len(reps)
-        reps.append(i)
-        for a in n_idx:
-            coset_of[engine._mult_index(i, a)] = point
-    actions = [[coset_of[step[rep]] for rep in reps] for step in engine._steps]
-    number, steps = _regular_steps(len(reps), actions)
-    q = QuotientEngine(engine, len(reps), steps, [number[c] for c in coset_of])
-    if q.order() != order // len(n_idx):
-        raise AssertionError("quotient order mismatch")
-    return q
 
 
 def word_for_element(engine: GroupEngine, h: Element) -> FreeWord:

@@ -95,18 +95,23 @@ class Endomorphism:
 class LiftContext:
     """Everything about (G, N) that does not depend on phi, computed once.
 
-    The z-words generate N, so G/N is presented by the relators of G plus
-    the z-words.  Checks that the z-words are central and that the
-    z-generators are independent (|N| equals the product of their orders,
-    which makes the per-block correspondence one-to-one).  Holds N, the
-    quotient engine of G by N, the central log table, and the exponent
-    matrix M with its Smith decomposition; the automorphic targets'
-    extended matrix is built on first use.  Each phi then costs only its
-    own check (problem) and right-hand sides.
+    The z-words generate N, so G/N is presented by <X | R, z-words> and
+    enumerated from that presentation, bounded by max_cosets as G is.
+    Checks that the z-words are central and that the z-generators are
+    independent (|N| equals the product of their orders, which makes the
+    per-block correspondence one-to-one).  Holds N, the presentation and
+    engine of G/N, the central log table, and the exponent matrix M with
+    its Smith decomposition; the automorphic targets' extended matrix is
+    built on first use.  Each phi then costs only its own check (problem)
+    and right-hand sides.
     """
 
     def __init__(
-        self, pres: Presentation, engine: GroupEngine, central: CentralSubgroupSpec
+        self,
+        pres: Presentation,
+        engine: GroupEngine,
+        central: CentralSubgroupSpec,
+        max_cosets: int = engines.DEFAULT_MAX_COSETS,
     ):
         gens = [engine.generator(i) for i in range(pres.n)]
         self.pres = pres
@@ -126,9 +131,11 @@ class LiftContext:
                 f"z-generators have order product {prod(self.z_orders)} but generate "
                 f"a subgroup of order {self.n_order}; supply independent generators"
             )
-        if engine.order() % self.n_order:
-            raise AssertionError("#N does not divide the group order")
-        self.quotient = engines.quotient_engine(engine, self.n_elements)
+        # the z-words are scanned first: they collapse N early
+        self.quotient_pres = Presentation(pres.names, central.z_words + pres.relators)
+        self.quotient = engines.todd_coxeter(self.quotient_pres, max_cosets)
+        if self.quotient.order() * self.n_order != engine.order():
+            raise AssertionError("|G/N| * |N| != |G|")
         self.log_table = engines.central_log_table(engine, self.z_elements, self.z_orders)
         self.matrix = build_exponent_matrix(pres)
         self.smith = modlinalg.smith(self.matrix)
@@ -222,16 +229,17 @@ class LiftProblem:
         """Check that the representatives induce an automorphism of G/N.
 
         The induced map is an endomorphism of G/N = <X | R, z-words> iff
-        every relator and every z-word vanishes at the projected images
-        (von Dyck).  Together with surjectivity this certifies an
-        automorphism of the finite quotient.
+        every relator and every z-word vanishes at the images of the
+        representative words in G/N (von Dyck).  Together with
+        surjectivity this certifies an automorphism of the finite quotient.
         """
         pres, engine, quotient = context.pres, context.engine, context.quotient
         if len(phi.rep_words) != pres.n:
             raise ValueError("need exactly one representative word per generator")
         gens = [engine.generator(i) for i in range(pres.n)]
         xbar = tuple(evaluate(w, gens, engine) for w in phi.rep_words)
-        images = [quotient.project(r) for r in xbar]
+        qgens = [quotient.generator(i) for i in range(pres.n)]
+        images = [evaluate(w, qgens, quotient) for w in phi.rep_words]
         for k, rel in enumerate(pres.relators):
             if evaluate(rel, images, quotient) != quotient.identity():
                 raise NotHomomorphism(k)

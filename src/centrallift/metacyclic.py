@@ -76,6 +76,12 @@ class CaseStudyConfig:
         over = f"|Aut(G)| = {self.p - 1}*{self.p}^{self.n} exceeds the budget {self.order_budget}"
         if self.p > self.order_budget or self.n > self.order_budget.bit_length():
             raise InvalidConfig(over)
+        # build_aut_A's Aut(G) search tries |G|^2 image pairs
+        if self.group_order**2 > oracle.DEFAULT_AUT_BUDGET:
+            raise InvalidConfig(
+                f"|G|^2 = {self.group_order**2} candidates exceed the Aut(G) "
+                f"search budget {oracle.DEFAULT_AUT_BUDGET}"
+            )
         if lifting._smallest_prime_factor(self.p) != self.p:
             raise InvalidConfig("p must be an odd prime")
         if self.aut_order > self.order_budget:
@@ -464,11 +470,14 @@ def noncharacteristic_witness(
 
     a_engine, center = context.engine, context.n_elements
     quotient = context.quotient
+    proj = engines.map_images(
+        a_engine, [quotient.generator(i) for i in range(context.pres.n)]
+    )
     iz = set(engines.subgroup_closure(a_engine, tuple(inner) + tuple(center)))
-    iz_q = {quotient.project(el) for el in iz}
-    phi_images = [quotient.project(x) for x in problem.xbar]
+    iz_q = {proj[el.index] for el in iz}
+    phi_images = [quotient.element(proj[x.index]) for x in problem.xbar]
     phi_map = engines.map_images(quotient, phi_images)
-    moved_q = {quotient.element(phi_map[el.index]) for el in iz_q}
+    moved_q = {phi_map[i] for i in iz_q}
     _require(moved_q != iz_q, "phi fixes IZ/Z")
 
     report = lifting.solve_aut_lifts(problem, lifting.solve_hom_lifts(problem))
@@ -546,14 +555,11 @@ def run_case_study(cfg: CaseStudyConfig) -> CaseStudyResult:
     k_elems = set(engines.subgroup_closure(a_engine, (params.x1, params.x2)))
     verify_commutator_structure(cfg, a_engine, params, center, k_elems)
 
-    # built only now, so the exhaustive centre check above fails first
+    # built only now, so the exhaustive centre check above fails first;
+    # LiftContext checks |A/Z| * |Z| = |A|
     context = LiftContext(pres_a, a_engine, _central_spec(cfg))
     quotient = context.quotient
     quotient_center = engines.center(quotient)
-    _require(
-        quotient.order() == a_engine.order() // len(center),
-        "|A/Z| mismatch",
-    )
 
     surjectivity = verify_pi_surjective(cfg, params, context, k_elems)
     witness = noncharacteristic_witness(params, context, inner)

@@ -182,15 +182,14 @@ def bf_quotient_auts(
 ) -> list[QuotientAutSpec]:
     """One representative-word spec per element of Aut(G/N).
 
-    The quotient is presented by the relators of G plus the z-words, which
-    generate N, and searched on the context's quotient engine; only G/N is
-    read from the context, none of its matrices.  Each automorphism is
-    re-expressed as shortest representative words, reusable as G-words.
+    The search runs on the context's presentation <X | R, z-words> of G/N
+    and its engine; only G/N is read from the context, none of its
+    matrices.  Each automorphism is re-expressed as shortest
+    representative words, reusable as G-words.
     """
-    pres, quotient = context.pres, context.quotient
-    qpres = Presentation(pres.names, pres.relators + context.central.z_words)
+    quotient = context.quotient
     specs = []
-    for endo in bf_automorphism_group(qpres, quotient, budget):
+    for endo in bf_automorphism_group(context.quotient_pres, quotient, budget):
         words = tuple(engines.word_for_element(quotient, im) for im in endo.images)
         specs.append(QuotientAutSpec(words))
     return specs

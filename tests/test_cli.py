@@ -215,21 +215,21 @@ def test_verify_decomposes_each_matrix_once(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_builds_the_quotient_once(tmp_path, capsys, monkeypatch):
-    # the oracle's Aut(G/N) search reads G/N from the verify command's
-    # LiftContext, and presents it with the z-words, instead of building
-    # its own
+    # verify enumerates G, then G/N once, in its LiftContext; the oracle's
+    # Aut(G/N) search reads G/N from there instead of building its own
     pres = write(tmp_path, "heis.grp", corpus.HEISENBERG)
-    calls = []
-    real = engines.quotient_engine
+    orders = []
+    real = engines.todd_coxeter
 
-    def counting(*args):
-        calls.append("quotient_engine")
-        return real(*args)
+    def counting(*args, **kwargs):
+        engine = real(*args, **kwargs)
+        orders.append(engine.order())
+        return engine
 
-    monkeypatch.setattr(engines, "quotient_engine", counting)
+    monkeypatch.setattr(engines, "todd_coxeter", counting)
     assert cli.main(["verify", pres]) == 0
     assert json.loads(capsys.readouterr().out)["phi_count"] == 48
-    assert calls == ["quotient_engine"]
+    assert orders == [27, 9]
 
 
 def test_internal_error_exit_4(tmp_path, capsys, monkeypatch):
@@ -248,10 +248,10 @@ def test_internal_assertion_exit_4(tmp_path, capsys, monkeypatch):
     # an engine invariant (raise AssertionError) is an internal error too
     pres = write(tmp_path, "c6.grp", corpus.C6)
 
-    def broken(engine, n_elements):
+    def broken(npoints, actions):
         raise AssertionError("injected")
 
-    monkeypatch.setattr(engines, "quotient_engine", broken)
+    monkeypatch.setattr(engines, "_regular_steps", broken)
     assert cli.main(["verify", pres]) == 4
     err = capsys.readouterr().err
     assert err == "internal error: AssertionError: injected\n"

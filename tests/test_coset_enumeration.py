@@ -33,7 +33,7 @@ def metacyclic(p, n):
 
 def assert_matches_reference(pres):
     npoints, actions = tc_reference.enumerate_cosets(pres, engines.DEFAULT_MAX_COSETS)
-    _, steps = engines._regular_steps(npoints, actions)
+    steps = engines._regular_steps(npoints, actions)
     assert todd_coxeter(pres)._steps == steps
 
 

@@ -4,24 +4,22 @@ import random
 import pytest
 
 import corpus
-from centrallift import cli, engines, words
+from centrallift import cli, engines, metacyclic, words
 from centrallift.engines import (
     CosetLimitExceeded,
     EngineMismatch,
-    NotNormal,
-    NotSubgroup,
     PermutationEngine,
     center,
     central_log_table,
     element_order,
     generates,
     is_central,
-    quotient_engine,
     subgroup_closure,
     todd_coxeter,
     word_for_element,
 )
-from centrallift.presentation import parse_presentation
+from centrallift.lifting import LiftContext
+from centrallift.presentation import parse_presentation, parse_presentation_file
 
 
 TC_CASES = [
@@ -210,60 +208,53 @@ def test_central_log_lexicographically_least():
     assert table[z.index] == (0, 1)
 
 
-def test_quotient_engine_c4():
-    _, _, c4, _ = corpus.build(corpus.C4)
-    n = subgroup_closure(c4, {c4.power(c4.generator(0), 2)})
-    q = quotient_engine(c4, n)
-    assert q.order() == 2
-    assert q.project(c4.power(c4.generator(0), 2)) == q.identity()
-    assert q.project(c4.generator(0)) == q.generator(0)
+def corpus_context(text):
+    pres, central, engine, _ = corpus.build(text)
+    return LiftContext(pres, engine, central)
 
 
-def test_quotient_engine_heisenberg_abelian():
-    _, _, engine, n_elements = corpus.build(corpus.HEISENBERG)
-    q = quotient_engine(engine, n_elements)
-    assert q.order() == 9
-    for a in q.elements():
-        for b in q.elements():
-            assert q.multiply(a, b) == q.multiply(b, a)
-
-
-def test_quotient_by_trivial_is_isomorphic():
-    _, _, engine, _ = corpus.build(corpus.Q8)
-    q = quotient_engine(engine, [engine.identity()])
-    assert q.order() == engine.order()
-    images = {q.project(el) for el in engine.elements()}
-    assert len(images) == engine.order()
-
-
-def test_quotient_projection_is_homomorphism():
-    _, _, engine, n_elements = corpus.build(corpus.METACYCLIC34)
-    q = quotient_engine(engine, n_elements)
-    rng = random.Random(4)
-    els = engine.elements()
-    for _ in range(100):
-        a, b = rng.choice(els), rng.choice(els)
-        assert q.project(engine.multiply(a, b)) == q.multiply(
-            q.project(a), q.project(b)
-        )
-
-
-def test_quotient_engine_rejects_bad_subsets():
-    _, _, c4, _ = corpus.build(corpus.C4)
-    x = c4.generator(0)
-    with pytest.raises(NotSubgroup):
-        quotient_engine(c4, [c4.identity(), x])  # {1, x} not closed
-
-
-def test_quotient_engine_rejects_non_normal():
-    pres = parse_presentation(
-        "generators: x y\nrelator: x^3\nrelator: y^2\nrelator: x*y*x*y"
+def projection(context):
+    """G -> G/N as element indices: the generators go to the quotient's."""
+    quotient = context.quotient
+    return engines.map_images(
+        context.engine, [quotient.generator(i) for i in range(context.pres.n)]
     )
-    s3 = todd_coxeter(pres, 100)
-    y = s3.generator(1)
-    sub = subgroup_closure(s3, {y})  # order-2 subgroup, not normal in S3
-    with pytest.raises(NotNormal):
-        quotient_engine(s3, sub)
+
+
+def assert_quotient_is_g_mod_n(context):
+    engine, quotient = context.engine, context.quotient
+    proj = projection(context)
+    rng = random.Random(14)
+    for _ in range(200):
+        a, b = rng.randrange(engine.order()), rng.randrange(engine.order())
+        assert proj[engine._mult_index(a, b)] == quotient._mult_index(proj[a], proj[b])
+    assert set(proj) == set(range(quotient.order()))
+    kernel = {i for i, q in enumerate(proj) if q == 0}
+    assert kernel == {el.index for el in context.n_elements}
+
+
+@pytest.mark.parametrize(
+    "text", [text for _, text in corpus.CORPUS], ids=[name for name, _ in corpus.CORPUS]
+)
+def test_quotient_is_g_mod_n_on_corpus(text):
+    assert_quotient_is_g_mod_n(corpus_context(text))
+
+
+def test_quotient_is_a_mod_z_in_the_case_study(case_study):
+    central = metacyclic._central_spec(case_study.cfg)
+    context = LiftContext(case_study.pres_a, case_study.a_engine, central)
+    assert context.quotient.order() == 18
+    assert_quotient_is_g_mod_n(context)
+
+
+def test_quotient_by_a_trivial_z_word_is_isomorphic():
+    text = corpus.Q8.replace("central: x^2", "central: x^4")  # x^4 = 1 in Q8
+    pres, central = parse_presentation_file(text)
+    context = LiftContext(pres, todd_coxeter(pres, 100), central)
+    assert context.n_order == 1
+    assert context.quotient.order() == context.engine.order() == 8
+    assert_quotient_is_g_mod_n(context)
+    assert len(set(projection(context))) == 8
 
 
 def test_word_for_element():
@@ -319,8 +310,7 @@ def regular_engines():
     for text, _ in TC_CASES:
         yield todd_coxeter(parse_presentation(text), max_cosets=1000)
     for _, text in corpus.CORPUS:
-        _, _, engine, n_elements = corpus.build(text)
-        yield quotient_engine(engine, n_elements)
+        yield corpus_context(text).quotient
 
 
 def test_regular_engines_number_elements_in_closure_order():
@@ -373,6 +363,14 @@ def test_auto_builds_few_columns(tmp_path, monkeypatch, capsys):
     phi = tmp_path / "phi.img"
     phi.write_text("image: x^2*y\nimage: x*y^3\nimage: 1\n")
     assert cli.main(["auto", str(pres), str(phi)]) == 0
-    (engine,) = built
+    engine, quotient = built
     assert engine.order() == 343
     assert sum(col is not None for col in engine._columns) < engine.order() // 2
+    assert quotient.order() == 49
+
+
+def test_quotient_enumeration_is_bounded_by_max_cosets():
+    pres, central = parse_presentation_file(HEISENBERG7)
+    engine = todd_coxeter(pres)
+    with pytest.raises(CosetLimitExceeded):
+        LiftContext(pres, engine, central, max_cosets=10)

@@ -1,7 +1,7 @@
 import pytest
 
 import corpus
-from centrallift import modlinalg, oracle
+from centrallift import engines, modlinalg, oracle
 from centrallift.lifting import (
     DependentCentralGenerators,
     LiftContext,
@@ -134,9 +134,10 @@ def test_materialized_lifts_satisfy_lift_equation():
     prob = problem(corpus.Q8)
     rep = solve_hom_lifts(prob)
     q = prob.context.quotient
+    proj = engines.map_images(prob.engine, [q.generator(i) for i in range(prob.pres.n)])
     for lift in rep.lifts:
         for i in range(prob.pres.n):
-            assert q.project(lift.endo.images[i]) == q.project(prob.xbar[i])
+            assert proj[lift.endo.images[i].index] == proj[prob.xbar[i].index]
 
 
 def test_is_automorphism_identity():

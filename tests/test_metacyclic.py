@@ -16,6 +16,16 @@ def test_config_validation():
     CaseStudyConfig(3, 5, order_budget=500)
 
 
+def test_config_refuses_what_the_aut_search_must_refuse():
+    # build_aut_A's Aut(G) search tries |G|^2 image pairs under the oracle's
+    # budget: a larger G is refused before p is trial-divided
+    with pytest.raises(metacyclic.InvalidConfig, match=r"Aut\(G\) search"):
+        CaseStudyConfig(11, 4, order_budget=10**6)
+    with pytest.raises(metacyclic.InvalidConfig, match=r"Aut\(G\) search"):
+        CaseStudyConfig(2305843009213693951, 4, order_budget=10**80)
+    CaseStudyConfig(3, 7, order_budget=4374)  # |G|^2 = 3^14: still admitted
+
+
 @pytest.mark.parametrize(
     "p,n,budget,powers",
     [
@@ -140,22 +150,23 @@ def test_result_dict_roundtrip(case_study):
 
 
 def test_case_study_builds_one_context(monkeypatch):
-    # A/Z, its quotient engine and M's Smith form are built once, by the one
+    # A/Z, its enumerated engine and M's Smith form are built once, by the one
     # LiftContext shared by the surjectivity check, the oracle and the witness;
     # Aut(G) is one engine, closed from the fitted triple, and each
     # conjugation map of G is computed once (plus x's, to seed the search)
-    real_context, real_quotient = metacyclic.LiftContext, engines.quotient_engine
+    real_context, real_tc = metacyclic.LiftContext, engines.todd_coxeter
     real_perm_init = engines.PermutationEngine.__init__
     real_conj = metacyclic._conjugation_map
-    contexts, quotients, perm_engines, conj_calls = [], [], [], []
+    contexts, enumerated, perm_engines, conj_calls = [], [], [], []
 
     def counting_context(*args):
         contexts.append(args)
         return real_context(*args)
 
-    def counting_quotient(*args):
-        quotients.append(args)
-        return real_quotient(*args)
+    def counting_tc(*args, **kwargs):
+        engine = real_tc(*args, **kwargs)
+        enumerated.append(engine.order())
+        return engine
 
     def counting_perm_init(self, *args):
         perm_engines.append(args)
@@ -166,13 +177,13 @@ def test_case_study_builds_one_context(monkeypatch):
         return real_conj(*args)
 
     monkeypatch.setattr(metacyclic, "LiftContext", counting_context)
-    monkeypatch.setattr(engines, "quotient_engine", counting_quotient)
+    monkeypatch.setattr(engines, "todd_coxeter", counting_tc)
     monkeypatch.setattr(engines.PermutationEngine, "__init__", counting_perm_init)
     monkeypatch.setattr(metacyclic, "_conjugation_map", counting_conj)
     result = metacyclic.run_case_study(CaseStudyConfig(3, 4))
     assert result.quotient_order == 18
     assert len(contexts) == 1
-    assert len(quotients) == 1
+    assert enumerated == [81, 18]  # G, then A/Z once
     assert len(perm_engines) == 1
     assert len(conj_calls) <= result.g_engine.order() + 1
 

@@ -111,21 +111,18 @@ def test_bf_quotient_auts_counts():
 
 
 def test_bf_quotient_auts_words_represent_automorphisms():
-    pres, _, engine, _ = corpus.build(corpus.C2C2C4_AC2)
     context = context_for(corpus.C2C2C4_AC2)
     specs = oracle.bf_quotient_auts(context)
     q = context.quotient
     for spec in specs:
         context.problem(spec)
     # distinct induced maps
-    gens = [engine.generator(i) for i in range(pres.n)]
+    qgens = [q.generator(i) for i in range(context.pres.n)]
     from centrallift.words import evaluate
 
     seen = set()
     for spec in specs:
-        images = tuple(
-            q.project(evaluate(w, gens, engine)).index for w in spec.rep_words
-        )
+        images = tuple(evaluate(w, qgens, q).index for w in spec.rep_words)
         seen.add(images)
     assert len(seen) == len(specs)
 
