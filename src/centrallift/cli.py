@@ -49,7 +49,6 @@ INPUT_ERRORS = (
     NotSurjective,
     lifting.DependentCentralGenerators,
     lifting.NotSquarefree,
-    lifting.ResidueOutsideN,
     oracle.BudgetExceeded,
     engines.CosetLimitExceeded,
     metacyclic.InvalidConfig,

@@ -32,14 +32,6 @@ from .presentation import (
 from .words import FreeWord, evaluate, evaluate_indices, exponent_vector, format_word
 
 
-class ResidueOutsideN(ValueError):
-    """A relator at the representatives landed outside N (invalid phi)."""
-
-    def __init__(self, relator_index: int):
-        super().__init__(f"relator {relator_index} does not evaluate into N")
-        self.relator_index = relator_index
-
-
 class NotASolution(RuntimeError):
     """A claimed solution vector fails a relator; indicates a solver bug."""
 
@@ -100,10 +92,10 @@ class LiftContext:
     Checks that the z-words are central and that the z-generators are
     independent (|N| equals the product of their orders, which makes the
     per-block correspondence one-to-one).  Holds N, the presentation and
-    engine of G/N, the central log table, and the exponent matrix M with
-    its Smith decomposition; the automorphic targets' extended matrix is
-    built on first use.  Each phi then costs only its own check (problem)
-    and right-hand sides.
+    engine of G/N, the projection G -> G/N on element indices, the central
+    log table, and the exponent matrix M with its Smith decomposition; the
+    automorphic targets' extended matrix is built on first use.  Each phi
+    then costs only its own check and right-hand sides (problem).
     """
 
     def __init__(
@@ -136,6 +128,9 @@ class LiftContext:
         self.quotient = engines.todd_coxeter(self.quotient_pres, max_cosets)
         if self.quotient.order() * self.n_order != engine.order():
             raise AssertionError("|G/N| * |N| != |G|")
+        self.projection = engines.map_images(
+            engine, [self.quotient.generator(i) for i in range(pres.n)]
+        )
         self.log_table = engines.central_log_table(engine, self.z_elements, self.z_orders)
         self.matrix = build_exponent_matrix(pres)
         self.smith = modlinalg.smith(self.matrix)
@@ -211,15 +206,25 @@ class LiftProblem:
     """One lift instance: a LiftContext and an automorphism phi of G/N.
 
     Use LiftProblem.build (or context.problem); it checks that phi is an
-    automorphism of G/N and evaluates its representatives xbar in G.
+    automorphism of G/N, evaluates its representatives xbar in G and
+    stores the residues of relator r_k and z-word f_i at them:
+    r_k(xbar) = prod_j z_j^(-residues[j][k]), f_i(xbar) =
+    prod_j z_j^(-z_residues[i][j]).
     """
 
     def __init__(
-        self, context: LiftContext, phi: QuotientAutSpec, xbar: tuple[Element, ...]
+        self,
+        context: LiftContext,
+        phi: QuotientAutSpec,
+        xbar: tuple[Element, ...],
+        residues: tuple[tuple[int, ...], ...],
+        z_residues: tuple[tuple[int, ...], ...],
     ):
         self.context = context
         self.phi = phi
         self.xbar = xbar
+        self.residues = residues
+        self.z_residues = z_residues
         self.pres = context.pres
         self.engine = context.engine
         self.z_orders = context.z_orders
@@ -229,26 +234,33 @@ class LiftProblem:
         """Check that the representatives induce an automorphism of G/N.
 
         The induced map is an endomorphism of G/N = <X | R, z-words> iff
-        every relator and every z-word vanishes at the images of the
-        representative words in G/N (von Dyck).  Together with
-        surjectivity this certifies an automorphism of the finite quotient.
+        every relator and every z-word evaluated at xbar lies in N (von
+        Dyck), that is, has a central log; those logs are the residues.
+        Together with surjectivity this certifies an automorphism of the
+        finite quotient.
         """
-        pres, engine, quotient = context.pres, context.engine, context.quotient
+        pres, engine = context.pres, context.engine
         if len(phi.rep_words) != pres.n:
             raise ValueError("need exactly one representative word per generator")
         gens = [engine.generator(i) for i in range(pres.n)]
         xbar = tuple(evaluate(w, gens, engine) for w in phi.rep_words)
-        qgens = [quotient.generator(i) for i in range(pres.n)]
-        images = [evaluate(w, qgens, quotient) for w in phi.rep_words]
-        for k, rel in enumerate(pres.relators):
-            if evaluate(rel, images, quotient) != quotient.identity():
-                raise NotHomomorphism(k)
-        for word in context.central.z_words:
-            if evaluate(word, images, quotient) != quotient.identity():
-                raise NotHomomorphism(None)
+
+        def residue(word: FreeWord, index: int | None) -> tuple[int, ...]:
+            exps = context.log_table.get(evaluate(word, xbar, engine).index)
+            if exps is None:
+                raise NotHomomorphism(index)
+            return tuple((-e) % o for e, o in zip(exps, context.z_orders))
+
+        per_relator = [residue(rel, k) for k, rel in enumerate(pres.relators)]
+        z_residues = tuple(residue(w, None) for w in context.central.z_words)
+        quotient, proj = context.quotient, context.projection
+        images = [quotient.element(proj[x.index]) for x in xbar]
         if not engines.generates(quotient, images):
             raise NotSurjective("images generate a proper subgroup of the quotient")
-        return cls(context, phi, xbar)
+        residues = tuple(
+            tuple(r[j] for r in per_relator) for j in range(len(context.z_orders))
+        )
+        return cls(context, phi, xbar, residues, z_residues)
 
 
 @dataclass(frozen=True)
@@ -287,24 +299,6 @@ def build_exponent_matrix(pres: Presentation) -> IntMatrix:
     if not rows:
         return IntMatrix(0, pres.n, ())
     return IntMatrix.from_rows(rows)
-
-
-def _residue_of_word(problem: LiftProblem, word: FreeWord, index: int):
-    """(w_1..w_t) with word(xbar) = prod_j z_j^(-w_j); index names the word
-    in the ResidueOutsideN raised when the value is not in N."""
-    value = evaluate(word, problem.xbar, problem.engine)
-    exps = problem.context.log_table.get(value.index)
-    if exps is None:
-        raise ResidueOutsideN(index)
-    return tuple((-e) % o for e, o in zip(exps, problem.z_orders))
-
-
-def build_residue_vector(problem: LiftProblem) -> list[tuple[int, ...]]:
-    """Per-z-generator residues: r_k(xbar) = prod_j z_j^(-w[j][k])."""
-    per_relator = [
-        _residue_of_word(problem, rel, k) for k, rel in enumerate(problem.pres.relators)
-    ]
-    return [tuple(r[j] for r in per_relator) for j in range(len(problem.z_orders))]
 
 
 def materialize(problem: LiftProblem, v_blocks) -> Endomorphism:
@@ -357,8 +351,7 @@ def _solve_blocks(
 
 def solve_hom_lifts(problem: LiftProblem) -> LiftReport:
     """All homomorphic lifts of phi, via one block system per z-generator."""
-    context = problem.context
-    residues = tuple(build_residue_vector(problem))
+    context, residues = problem.context, problem.residues
     sets = _solve_blocks(context.matrix, context.smith, residues, problem.z_orders)
     count = prod(s.count for s in sets)
     target = LiftTarget("hom", residues, sets, count)
@@ -426,8 +419,7 @@ def solve_aut_lifts(problem: LiftProblem, hom: LiftReport) -> LiftReport:
     t = len(orders)
     by_v = {lift.v_blocks: lift for lift in hom.lifts}
     truth = {lift.endo for lift in hom.lifts if lift.automorphic}
-    # f_i at the representatives: f_i(xbar) = prod_j z_j^(-u[i][j])
-    u = [_residue_of_word(problem, w, -1) for w in problem.context.central.z_words]
+    u = problem.z_residues
 
     targets: list[LiftTarget] = []
     lifts: list[Lift] = []
@@ -486,7 +478,7 @@ def squarefree_existence(problem: LiftProblem) -> bool:
     context = problem.context
     if not is_squarefree(context.n_order):
         raise NotSquarefree(f"#N = {context.n_order} is not squarefree")
-    residues = build_residue_vector(problem)
+    residues = problem.residues
     sets = _solve_blocks(context.matrix, context.smith, residues, problem.z_orders)
     return all(s.solvable for s in sets)
 

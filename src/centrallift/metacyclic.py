@@ -274,6 +274,13 @@ def _verify_params(cfg: CaseStudyConfig, engine: PermutationEngine, params: AutP
         engines.generates(engine, triple),
         "fitted triple does not generate Aut(G)",
     )
+    # relators holding at a generating triple make A a quotient of <pres>;
+    # equal orders make them isomorphic.  HLT needs ~54|A| cosets at p = 5.
+    try:
+        order = engines.todd_coxeter(pres, max_cosets=100 * cfg.aut_order).order()
+    except engines.CosetLimitExceeded:
+        order = None
+    _require(order == cfg.aut_order, "the fitted presentation does not present Aut(G)")
     modulus = cfg.p ** (cfg.n - 2) if params.a_is_proot_mod_pn2 else cfg.p ** (cfg.n - 1)
     phi = modulus - modulus // cfg.p
     _require(
@@ -469,10 +476,7 @@ def noncharacteristic_witness(
     problem = context.problem(phi)  # validates phi
 
     a_engine, center = context.engine, context.n_elements
-    quotient = context.quotient
-    proj = engines.map_images(
-        a_engine, [quotient.generator(i) for i in range(context.pres.n)]
-    )
+    quotient, proj = context.quotient, context.projection
     iz = set(engines.subgroup_closure(a_engine, tuple(inner) + tuple(center)))
     iz_q = {proj[el.index] for el in iz}
     phi_images = [quotient.element(proj[x.index]) for x in problem.xbar]

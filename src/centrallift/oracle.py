@@ -14,7 +14,7 @@ dropped once that test is made.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import engines, lifting
 from .engines import Element, GroupEngine
@@ -205,14 +205,7 @@ class ComparisonReport:
     counterexample: dict | None
 
     def to_dict(self) -> dict:
-        return {
-            "solver_hom_count": self.solver_hom_count,
-            "oracle_hom_count": self.oracle_hom_count,
-            "solver_aut_count": self.solver_aut_count,
-            "oracle_aut_count": self.oracle_aut_count,
-            "match": self.match,
-            "counterexample": self.counterexample,
-        }
+        return asdict(self)
 
 
 def compare(problem: LiftProblem, budget: int = DEFAULT_LIFT_BUDGET) -> ComparisonReport:

@@ -213,17 +213,8 @@ def corpus_context(text):
     return LiftContext(pres, engine, central)
 
 
-def projection(context):
-    """G -> G/N as element indices: the generators go to the quotient's."""
-    quotient = context.quotient
-    return engines.map_images(
-        context.engine, [quotient.generator(i) for i in range(context.pres.n)]
-    )
-
-
 def assert_quotient_is_g_mod_n(context):
-    engine, quotient = context.engine, context.quotient
-    proj = projection(context)
+    engine, quotient, proj = context.engine, context.quotient, context.projection
     rng = random.Random(14)
     for _ in range(200):
         a, b = rng.randrange(engine.order()), rng.randrange(engine.order())
@@ -254,7 +245,7 @@ def test_quotient_by_a_trivial_z_word_is_isomorphic():
     assert context.n_order == 1
     assert context.quotient.order() == context.engine.order() == 8
     assert_quotient_is_g_mod_n(context)
-    assert len(set(projection(context))) == 8
+    assert len(set(context.projection)) == 8
 
 
 def test_word_for_element():

@@ -1,14 +1,13 @@
 import pytest
 
 import corpus
-from centrallift import engines, modlinalg, oracle
+from centrallift import modlinalg, oracle
 from centrallift.lifting import (
     DependentCentralGenerators,
     LiftContext,
     LiftProblem,
     NotSquarefree,
     build_exponent_matrix,
-    build_residue_vector,
     is_automorphism,
     materialize,
     report_to_dict,
@@ -65,13 +64,13 @@ def test_exponent_matrix_metacyclic():
 def test_residue_identity_phi_is_zero():
     for text in (corpus.C4, corpus.Q8, corpus.HEISENBERG, corpus.METACYCLIC34):
         prob = problem(text)
-        for block in build_residue_vector(prob):
+        for block in prob.residues:
             assert all(x == 0 for x in block)
 
 
 def test_residue_c4_with_shifted_rep():
     prob = problem(corpus.C4, images=["x^3"])
-    assert build_residue_vector(prob) == [(0,)]
+    assert prob.residues == ((0,),)
 
 
 def test_hom_lifts_c4():
@@ -133,8 +132,7 @@ def test_materialize_shift():
 def test_materialized_lifts_satisfy_lift_equation():
     prob = problem(corpus.Q8)
     rep = solve_hom_lifts(prob)
-    q = prob.context.quotient
-    proj = engines.map_images(prob.engine, [q.generator(i) for i in range(prob.pres.n)])
+    proj = prob.context.projection
     for lift in rep.lifts:
         for i in range(prob.pres.n):
             assert proj[lift.endo.images[i].index] == proj[prob.xbar[i].index]

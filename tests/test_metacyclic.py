@@ -1,8 +1,9 @@
 import pytest
 
-from centrallift import engines, metacyclic, oracle
+from centrallift import cli, engines, metacyclic, oracle
 from centrallift.metacyclic import CaseStudyConfig, metacyclic_presentation
-from centrallift.words import evaluate, format_word
+from centrallift.presentation import Presentation
+from centrallift.words import FreeWord, evaluate, format_word
 
 
 def test_config_validation():
@@ -183,9 +184,36 @@ def test_case_study_builds_one_context(monkeypatch):
     result = metacyclic.run_case_study(CaseStudyConfig(3, 4))
     assert result.quotient_order == 18
     assert len(contexts) == 1
-    assert enumerated == [81, 18]  # G, then A/Z once
+    assert enumerated == [81, 162, 18]  # G, A from its fitted presentation, A/Z once
     assert len(perm_engines) == 1
     assert len(conj_calls) <= result.g_engine.order() + 1
+
+
+@pytest.mark.parametrize("weakening", ["x1^(p^2)", "no commutator relator"])
+def test_demo_checks_that_the_fitted_presentation_presents_a(
+    weakening, monkeypatch, capsys
+):
+    # relators holding at a generating triple only make A a quotient of the
+    # presented group: with x1^(p^2) for x1^p it has order 486, and without
+    # [x1, x2] = x3^small its enumeration outgrows the coset limit
+    real = metacyclic.aut_presentation
+
+    def weakened(p, *args):
+        relators = list(real(p, *args).relators)
+        if weakening == "x1^(p^2)":
+            relators[0] = FreeWord(((0, p * p),))
+        else:
+            del relators[5]
+        return Presentation(("x1", "x2", "x3"), tuple(relators))
+
+    monkeypatch.setattr(metacyclic, "aut_presentation", weakened)
+    with pytest.raises(metacyclic.VerificationFailed, match="does not present Aut"):
+        metacyclic.run_case_study(CaseStudyConfig(3, 4))
+    assert cli.main(["demo", "--p", "3", "--n", "4"]) == 4
+    assert capsys.readouterr().err == (
+        "internal error: VerificationFailed: "
+        "the fitted presentation does not present Aut(G)\n"
+    )
 
 
 def test_perm_order_matches_engine_order(case_study):

@@ -1,6 +1,9 @@
+import itertools
+
 import pytest
 
 import corpus
+from centrallift import engines
 from centrallift.lifting import LiftContext
 from centrallift.presentation import (
     CentralSubgroupSpec,
@@ -13,7 +16,7 @@ from centrallift.presentation import (
     parse_presentation_file,
     parse_quotient_aut,
 )
-from centrallift.words import FreeWord, format_word, parse_word
+from centrallift.words import FreeWord, evaluate, format_word, parse_word
 
 
 def test_parse_single_relator():
@@ -158,6 +161,65 @@ def test_validate_quotient_aut_relator_failure():
     with pytest.raises(NotHomomorphism) as err:
         context.problem(spec)
     assert err.value.relator_index == 3
+
+
+def check_in_the_quotient(context, spec):
+    """The exception the check in G/N raises: relators in index order, then
+    z-words, then surjectivity, all at the images evaluated in G/N."""
+    quotient = context.quotient
+    gens = [quotient.generator(i) for i in range(context.pres.n)]
+    images = [evaluate(w, gens, quotient) for w in spec.rep_words]
+    for k, rel in enumerate(context.pres.relators):
+        if evaluate(rel, images, quotient) != quotient.identity():
+            return NotHomomorphism(k)
+    for word in context.central.z_words:
+        if evaluate(word, images, quotient) != quotient.identity():
+            return NotHomomorphism(None)
+    if not engines.generates(quotient, images):
+        return NotSurjective("images generate a proper subgroup of the quotient")
+    return None
+
+
+@pytest.mark.parametrize(
+    "text", [corpus.Q8, corpus.HEISENBERG, corpus.C2C2C4_AB], ids=["Q8", "H27", "C2C2C4"]
+)
+def test_build_decides_as_the_check_in_the_quotient(text):
+    # every tuple of G/N elements, as shortest representative words: build's
+    # central-log lookups accept what the oracle lists and reject the rest as
+    # the check in G/N does, and the residues are the negated central logs of
+    # the relators and z-words at xbar
+    from centrallift import oracle
+
+    context = context_for(text)
+    engine, quotient = context.engine, context.quotient
+    words = [engines.word_for_element(quotient, el) for el in quotient.elements()]
+    accepted = set()
+    for rep_words in itertools.product(words, repeat=context.pres.n):
+        spec = QuotientAutSpec(rep_words)
+        expected = check_in_the_quotient(context, spec)
+        if expected is not None:
+            with pytest.raises(type(expected)) as err:
+                context.problem(spec)
+            assert str(err.value) == str(expected)
+            assert getattr(err.value, "relator_index", "none") == getattr(
+                expected, "relator_index", "none"
+            )
+            continue
+        problem = context.problem(spec)
+        accepted.add(spec)
+        relator_residues = [
+            tuple(block[k] for block in problem.residues)
+            for k in range(len(context.pres.relators))
+        ]
+        for word, exps in zip(
+            context.pres.relators + context.central.z_words,
+            relator_residues + list(problem.z_residues),
+        ):
+            value = evaluate(word, problem.xbar, engine)
+            for z, e in zip(context.z_elements, exps):
+                value = engine.multiply(value, engine.power(z, e))
+            assert value == engine.identity()
+    assert accepted == set(oracle.bf_quotient_auts(context))
 
 
 def test_validate_oracle_agreement():
