@@ -1,8 +1,10 @@
+import hashlib
+
 import pytest
 
 from centrallift import cli, engines, metacyclic, oracle
 from centrallift.metacyclic import CaseStudyConfig, metacyclic_presentation
-from centrallift.presentation import Presentation
+from centrallift.presentation import CentralSubgroupSpec, Presentation
 from centrallift.words import FreeWord, evaluate, format_word
 
 
@@ -69,11 +71,14 @@ def test_center(case_study):
     assert len(case_study.center) == 9
     z = case_study.a_engine.power(case_study.params.x3, 2)
     assert engines.subgroup_closure(case_study.a_engine, (z,)) == case_study.center
+    # the demo derives Z(A) = Z; the exhaustive scan of A agrees
+    assert engines.center(case_study.a_engine) == case_study.center
 
 
 def test_quotient_is_order_18_with_trivial_center(case_study):
     assert case_study.quotient_order == 18
-    assert case_study.quotient_center_trivial
+    # verify_center requires it; the report states it
+    assert case_study.to_dict()["quotient_center_trivial"] is True
 
 
 def test_inner_matches_conjugations(case_study):
@@ -84,6 +89,27 @@ def test_inner_matches_conjugations(case_study):
     # conjugation by x is the fitted x1 (the search seeds it first)
     conj_x = metacyclic._conjugation_map(g, g.generator(0))
     assert case_study.a_engine.element_from_perm(conj_x) == case_study.params.x1
+
+
+def reference_conjugation(g, i):
+    """h -> x^-1 h x for the element x of index i, on every h of G."""
+    return tuple(g._mult_index(g._mult_index(g._inv_index(i), h), i) for h in range(g.order()))
+
+
+@pytest.mark.parametrize("p,n,budget", [(3, 4, 200), (3, 5, 500), (5, 4, 2500)])
+def test_inner_maps_are_the_conjugation_scan(p, n, budget):
+    # the closure of conj_x and conj_y is every conjugation map, conj_x
+    # first (it seeds the x1 search) and the rest sorted
+    cfg = CaseStudyConfig(p, n, order_budget=budget)
+    g = metacyclic.build_group(cfg, metacyclic_presentation(cfg))
+    scan = {reference_conjugation(g, i) for i in range(g.order())}  # all of G
+    inner = metacyclic._inner_maps(g)
+    assert len(inner) == len(scan) == p * p
+    assert inner[0] == metacyclic._conjugation_map(g, g.generator(0))
+    assert inner[1:] == sorted(scan - {inner[0]})
+    # extending from the generators' conjugates gives the whole map
+    for el in g.elements()[: 2 * p]:
+        assert metacyclic._conjugation_map(g, el) == reference_conjugation(g, el.index)
 
 
 def test_conjugation_by_identity_is_identity(case_study):
@@ -153,12 +179,11 @@ def test_result_dict_roundtrip(case_study):
 def test_case_study_builds_one_context(monkeypatch):
     # A/Z, its enumerated engine and M's Smith form are built once, by the one
     # LiftContext shared by the surjectivity check, the oracle and the witness;
-    # Aut(G) is one engine, closed from the fitted triple, and each
-    # conjugation map of G is computed once (plus x's, to seed the search)
+    # Aut(G) is one engine, closed from the fitted triple (the other
+    # permutation engine is Inn(G), of order p^2)
     real_context, real_tc = metacyclic.LiftContext, engines.todd_coxeter
     real_perm_init = engines.PermutationEngine.__init__
-    real_conj = metacyclic._conjugation_map
-    contexts, enumerated, perm_engines, conj_calls = [], [], [], []
+    contexts, enumerated, perm_engines = [], [], []
 
     def counting_context(*args):
         contexts.append(args)
@@ -170,23 +195,78 @@ def test_case_study_builds_one_context(monkeypatch):
         return engine
 
     def counting_perm_init(self, *args):
-        perm_engines.append(args)
         real_perm_init(self, *args)
-
-    def counting_conj(*args):
-        conj_calls.append(args)
-        return real_conj(*args)
+        perm_engines.append(self.order())
 
     monkeypatch.setattr(metacyclic, "LiftContext", counting_context)
     monkeypatch.setattr(engines, "todd_coxeter", counting_tc)
     monkeypatch.setattr(engines.PermutationEngine, "__init__", counting_perm_init)
-    monkeypatch.setattr(metacyclic, "_conjugation_map", counting_conj)
     result = metacyclic.run_case_study(CaseStudyConfig(3, 4))
     assert result.quotient_order == 18
     assert len(contexts) == 1
     assert enumerated == [81, 162, 18]  # G, A from its fitted presentation, A/Z once
-    assert len(perm_engines) == 1
-    assert len(conj_calls) <= result.g_engine.order() + 1
+    assert perm_engines.count(result.a_engine.order()) == 1
+
+
+def test_case_study_scans_neither_a_nor_the_conjugations_of_g(monkeypatch):
+    # Z(A) is read off the LiftContext and Inn(G) closed from two maps: the
+    # only centre scans are of A/Z and of G, and G's two generators are the
+    # only elements conjugated by
+    real_center, real_conj = engines.center, metacyclic._conjugation_map
+    scanned, conjugated_by = [], []
+
+    def counting_center(engine):
+        scanned.append(engine)
+        return real_center(engine)
+
+    def counting_conj(engine, g):
+        conjugated_by.append(g)
+        return real_conj(engine, g)
+
+    monkeypatch.setattr(engines, "center", counting_center)
+    monkeypatch.setattr(metacyclic, "_conjugation_map", counting_conj)
+    result = metacyclic.run_case_study(CaseStudyConfig(3, 4))
+    assert result.a_engine not in scanned
+    assert [engine.order() for engine in scanned] == [18, 81]  # A/Z, then G
+    g = result.g_engine
+    assert conjugated_by == [g.generator(0), g.generator(1)]
+
+
+@pytest.mark.parametrize(
+    "z_word,message",
+    [
+        (lambda p: FreeWord(((0, 1),)), "Z(A): central word 'x1' is not central"),
+        (lambda p: FreeWord(((2, (p - 1) * p),)), "A/Z has a non-trivial centre"),
+    ],
+    ids=["x1", "x3^((p-1)p)"],
+)
+def test_demo_requires_a_central_z_with_a_centreless_quotient(
+    z_word, message, monkeypatch, capsys
+):
+    # Z(A) = Z is derived from two checks: z is central (x1 is not), and A/Z
+    # has trivial centre (A/<x3^((p-1)p)> does not: it holds x3^(p-1)'s image)
+    def central_spec(cfg):
+        return CentralSubgroupSpec((z_word(cfg.p),))
+
+    monkeypatch.setattr(metacyclic, "_central_spec", central_spec)
+    with pytest.raises(metacyclic.VerificationFailed) as failed:
+        metacyclic.run_case_study(CaseStudyConfig(3, 4))
+    assert str(failed.value) == message
+    assert cli.main(["demo", "--p", "3", "--n", "4"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal error: VerificationFailed: {message}\n"
+
+
+def test_demo_p3_n5_report_is_pinned(tmp_path):
+    # perfbench pins only the (3,4) report; this digest is of the (3,5)
+    # report from before Z(A) and Inn(G) were derived instead of scanned
+    out = tmp_path / "report.json"
+    argv = ["demo", "--p", "3", "--n", "5", "--order-budget", "500", "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "5e214e5e90ee955d61b0e707d2df346d0dc36788d46a5039f4dbe3cb9ff0f369"
+    )
 
 
 @pytest.mark.parametrize("weakening", ["x1^(p^2)", "no commutator relator"])
