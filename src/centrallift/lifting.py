@@ -272,6 +272,18 @@ class LiftTarget:
     solution_sets: tuple[SolutionSet, ...]
     count: int
 
+    @classmethod
+    def solve(
+        cls, label: str, matrix: IntMatrix, dec: SmithDecomposition, rhs_blocks, moduli
+    ) -> "LiftTarget":
+        """Solve block j, matrix * v = rhs_blocks[j] mod moduli[j], against
+        dec; the count is the product of the block counts."""
+        sets = tuple(
+            modlinalg.solve(LinearSystem(matrix, tuple(rhs), modulus), dec)
+            for rhs, modulus in zip(rhs_blocks, moduli)
+        )
+        return cls(label, rhs_blocks, sets, prod(s.count for s in sets))
+
 
 @dataclass(frozen=True)
 class Lift:
@@ -284,11 +296,10 @@ class Lift:
 
 @dataclass(frozen=True)
 class LiftReport:
+    """What one phi adds: its solved targets and its lifts.  M, the
+    moduli and w live in the context and the problem."""
+
     kind: str  # "homomorphic" | "automorphic"
-    matrix: IntMatrix
-    extended_matrix: IntMatrix | None
-    moduli: tuple[int, ...]
-    residues: tuple[tuple[int, ...], ...]
     targets: tuple[LiftTarget, ...]
     lifts: tuple[Lift, ...]
 
@@ -335,42 +346,31 @@ def is_automorphism(problem: LiftProblem, psi: Endomorphism) -> bool:
     return preserves_n
 
 
-def _enumerate_block_solutions(sets: tuple[SolutionSet, ...]):
-    per_block = [modlinalg.enumerate_solutions(s) for s in sets]
-    return itertools.product(*per_block)
+def _enumerate_block_solutions(target: LiftTarget):
+    """Every tuple of block solutions; none if some block is unsolvable."""
+    return itertools.product(
+        *(modlinalg.enumerate_solutions(s) for s in target.solution_sets)
+    )
 
 
-def _solve_blocks(
-    matrix: IntMatrix, dec: SmithDecomposition, rhs_blocks, moduli
-) -> tuple[SolutionSet, ...]:
-    return tuple(
-        modlinalg.solve(LinearSystem(matrix, tuple(rhs), modulus), dec)
-        for rhs, modulus in zip(rhs_blocks, moduli)
+def _hom_target(problem: LiftProblem) -> LiftTarget:
+    """M * v = w mod o_j, one block per z-generator."""
+    context = problem.context
+    return LiftTarget.solve(
+        "hom", context.matrix, context.smith, problem.residues, context.z_orders
     )
 
 
 def solve_hom_lifts(problem: LiftProblem) -> LiftReport:
     """All homomorphic lifts of phi, via one block system per z-generator."""
-    context, residues = problem.context, problem.residues
-    sets = _solve_blocks(context.matrix, context.smith, residues, problem.z_orders)
-    count = prod(s.count for s in sets)
-    target = LiftTarget("hom", residues, sets, count)
+    target = _hom_target(problem)
     lifts: list[Lift] = []
-    if all(s.solvable for s in sets):
-        for combo in _enumerate_block_solutions(sets):
-            endo = materialize(problem, combo)
-            lifts.append(Lift(tuple(combo), endo, is_automorphism(problem, endo)))
-    if len({lift.endo for lift in lifts}) != len(lifts) or len(lifts) != count:
+    for combo in _enumerate_block_solutions(target):
+        endo = materialize(problem, combo)
+        lifts.append(Lift(tuple(combo), endo, is_automorphism(problem, endo)))
+    if len({lift.endo for lift in lifts}) != len(lifts) or len(lifts) != target.count:
         raise SolverConsistencyError("block solutions did not map to distinct lifts")
-    return LiftReport(
-        kind="homomorphic",
-        matrix=context.matrix,
-        extended_matrix=None,
-        moduli=problem.z_orders,
-        residues=residues,
-        targets=(target,),
-        lifts=tuple(lifts),
-    )
+    return LiftReport("homomorphic", (target,), tuple(lifts))
 
 
 def _smallest_prime_factor(n: int) -> int:
@@ -419,24 +419,22 @@ def solve_aut_lifts(problem: LiftProblem, hom: LiftReport) -> LiftReport:
     t = len(orders)
     by_v = {lift.v_blocks: lift for lift in hom.lifts}
     truth = {lift.endo for lift in hom.lifts if lift.automorphic}
-    u = problem.z_residues
+    w, u = problem.residues, problem.z_residues
 
     targets: list[LiftTarget] = []
     lifts: list[Lift] = []
     seen: dict[Endomorphism, str] = {}
     for label, shifts in system.targets:
         rhs_blocks = tuple(
-            hom.residues[j]
+            w[j]
             + tuple(
                 system.scale * (u[i][j] + shifts[j][i]) % orders[j] for i in range(t)
             )
             for j in range(t)
         )
-        sets = _solve_blocks(system.matrix, system.smith, rhs_blocks, orders)
-        targets.append(LiftTarget(label, rhs_blocks, sets, prod(s.count for s in sets)))
-        if not all(s.solvable for s in sets):
-            continue
-        for combo in _enumerate_block_solutions(sets):
+        target = LiftTarget.solve(label, system.matrix, system.smith, rhs_blocks, orders)
+        targets.append(target)
+        for combo in _enumerate_block_solutions(target):
             lift = by_v.get(combo)
             if lift is None:
                 raise SolverConsistencyError(
@@ -458,34 +456,28 @@ def solve_aut_lifts(problem: LiftProblem, hom: LiftReport) -> LiftReport:
             f"target construction found {len(seen)} automorphic lifts, "
             f"filtering homomorphic lifts found {len(truth)}"
         )
-    return LiftReport(
-        kind="automorphic",
-        matrix=hom.matrix,
-        extended_matrix=system.matrix,
-        moduli=orders,
-        residues=hom.residues,
-        targets=tuple(targets),
-        lifts=tuple(lifts),
-    )
+    return LiftReport("automorphic", tuple(targets), tuple(lifts))
 
 
 def squarefree_existence(problem: LiftProblem) -> bool:
     """For squarefree #N: a homomorphic lift exists iff an automorphic one does.
 
-    Only solvability of the block systems is checked; nothing is
-    materialized.
+    Only the hom target is solved; nothing is materialized.
     """
-    context = problem.context
-    if not is_squarefree(context.n_order):
-        raise NotSquarefree(f"#N = {context.n_order} is not squarefree")
-    residues = problem.residues
-    sets = _solve_blocks(context.matrix, context.smith, residues, problem.z_orders)
-    return all(s.solvable for s in sets)
+    n_order = problem.context.n_order
+    if not is_squarefree(n_order):
+        raise NotSquarefree(f"#N = {n_order} is not squarefree")
+    return _hom_target(problem).count > 0
 
 
 def report_to_dict(problem: LiftProblem, report: LiftReport) -> dict:
-    """JSON-ready form of a lift report (deterministic for fixed inputs)."""
-    names = problem.pres.names
+    """JSON-ready form of a lift report (deterministic for fixed inputs).
+
+    M, the moduli and w come from the problem; the extended matrix of an
+    automorphic report is the context's aut_system, which solve_aut_lifts
+    has already built.
+    """
+    context, names = problem.context, problem.pres.names
 
     def endo_words(endo: Endomorphism) -> list[str]:
         return [
@@ -507,14 +499,14 @@ def report_to_dict(problem: LiftProblem, report: LiftReport) -> dict:
     return {
         "kind": report.kind,
         "generators": list(names),
-        "matrix": modlinalg.matrix_to_strings(report.matrix),
+        "matrix": modlinalg.matrix_to_strings(context.matrix),
         "extended_matrix": (
-            modlinalg.matrix_to_strings(report.extended_matrix)
-            if report.extended_matrix is not None
+            modlinalg.matrix_to_strings(context.aut_system.matrix)
+            if report.kind == "automorphic"
             else None
         ),
-        "moduli": [str(o) for o in report.moduli],
-        "residues": [modlinalg.vector_to_strings(r) for r in report.residues],
+        "moduli": [str(o) for o in context.z_orders],
+        "residues": [modlinalg.vector_to_strings(r) for r in problem.residues],
         "targets": [
             {
                 "label": tg.label,

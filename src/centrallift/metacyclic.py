@@ -325,16 +325,17 @@ def verify_commutator_structure(
     center: tuple[Element, ...],
     k_elems: set[Element],
 ) -> None:
-    """K = <x1,x2> facts: Z(K) = Z cap K and K cap Z = <[x1,x2]> = <z^(p^(n-3))>."""
+    """K = <x1,x2> facts: Z(K) = Z cap K and K cap Z = <[x1,x2]> = <z^(p^(n-3))>.
+
+    An element of K is central in K iff it commutes with x1 and x2.
+    """
     center_set = set(center)
     z_cap_k = {el for el in k_elems if el in center_set}
+    gens = (params.x1, params.x2)
     z_of_k = {
         el
         for el in k_elems
-        if all(
-            a_engine.multiply(el, other) == a_engine.multiply(other, el)
-            for other in k_elems
-        )
+        if all(a_engine.multiply(el, g) == a_engine.multiply(g, el) for g in gens)
     }
     _require(z_of_k == z_cap_k, "Z(K) != Z cap K")
     comm = a_engine.multiply(
@@ -414,7 +415,7 @@ def verify_pi_surjective(
         adjusted = _adjust_into_k(cfg, a_engine, params, spec, k_elems)
         problem = context.problem(adjusted)
         report = lifting.solve_hom_lifts(problem)
-        w = report.residues[0]
+        w = problem.residues[0]
         _require(
             w[0] == 0 and w[1] == 0 and w[2] == 0,
             "residues of the power relators do not vanish",

@@ -116,9 +116,17 @@ def bf_hom_lifts(problem: LiftProblem, budget: int = DEFAULT_LIFT_BUDGET) -> lis
     return [Endomorphism(tuple(Element(engine, i) for i in leaf)) for leaf in leaves]
 
 
-def _surjective(engine: GroupEngine, endos: list[Endomorphism]) -> list[Endomorphism]:
-    """The endomorphisms whose images generate G (hence bijective)."""
-    return [endo for endo in endos if engines.generates(engine, endo.images)]
+def _bijective(engine: GroupEngine, images: tuple[Element, ...]) -> bool:
+    """True iff the endomorphism with these generator images is a
+    permutation of the engine's group.
+
+    One map of the whole group, checked to send each generator to its
+    image, and dropped.
+    """
+    image_map = engines.map_images(engine, images)
+    if any(image_map[g] != im.index for g, im in zip(engine._gen_indices, images)):
+        raise AssertionError("an endomorphism's map moves a generator's image")
+    return len(set(image_map)) == engine.order()
 
 
 def _greedy_depth_order(pres: Presentation, candidates) -> list[int]:
@@ -149,9 +157,8 @@ def bf_automorphism_group(
     Candidate images are restricted to elements of the same order as the
     generator (automorphisms preserve order); relators are applied as
     soon as their support is assigned, so every tuple that passes them is
-    an endomorphism; finally the map it defines must be a permutation.
-    That map is built once per endomorphism, checked to send each
-    generator to its image, and dropped.
+    an endomorphism; finally the map it defines must be a permutation
+    (_bijective).
     """
     n = pres.n
     order = engine.order()
@@ -164,15 +171,10 @@ def bf_automorphism_group(
         target = orders[engine.generator(i).index]
         pools.append([j for j in range(order) if orders[j] == target])
     depth_order = _greedy_depth_order(pres, pools)
-    gens = [engine.generator(i).index for i in range(n)]
-
     auts = []
     for leaf in _search_image_tuples(pres, engine, pools, depth_order):
         images = tuple(Element(engine, i) for i in leaf)
-        image_map = engines.map_images(engine, images)
-        if any(image_map[g] != im for g, im in zip(gens, leaf)):
-            raise AssertionError("an endomorphism's map moves a generator's image")
-        if len(set(image_map)) == order:
+        if _bijective(engine, images):
             auts.append(Endomorphism(images))
     return auts
 
@@ -215,7 +217,7 @@ def compare(problem: LiftProblem, budget: int = DEFAULT_LIFT_BUDGET) -> Comparis
     solver_aut = {lift.endo for lift in lifting.solve_aut_lifts(problem, hom).lifts}
     oracle_hom_list = bf_hom_lifts(problem, budget)
     oracle_hom = set(oracle_hom_list)
-    oracle_aut = set(_surjective(problem.engine, oracle_hom_list))
+    oracle_aut = {e for e in oracle_hom_list if _bijective(problem.engine, e.images)}
 
     counterexample = None
     for kind, mine, theirs in (

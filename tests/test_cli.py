@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -69,6 +70,17 @@ def test_solve_no_lift_exit_2(tmp_path, capsys):
     assert code == 2
     payload = json.loads(capsys.readouterr().out)
     assert payload["lift_count"] == 0
+    # an unsolvable block enumerates no solutions, so no lift is built
+    problem = cli._load_problem(cli.build_parser().parse_args(["solve", pres, phi]))
+    report = lifting.solve_hom_lifts(problem)
+    assert [t.count for t in report.targets] == [0]
+    assert report.lifts == ()
+    assert lifting.squarefree_existence(problem) is False
+    assert cli.main(["auto", pres, phi]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["lift_count"] == 0
+    assert len(payload["targets"]) == len(problem.context.aut_system.targets)
+    assert [t["count"] for t in payload["targets"]] == ["0"] * len(payload["targets"])
 
 
 def test_malformed_word_exit_1(tmp_path, capsys):
@@ -124,15 +136,7 @@ def test_verify_mismatch_exit_3(tmp_path, capsys, monkeypatch):
 
     def broken(problem, hom):
         report = real(problem, hom)
-        return lifting.LiftReport(
-            kind=report.kind,
-            matrix=report.matrix,
-            extended_matrix=report.extended_matrix,
-            moduli=report.moduli,
-            residues=report.residues,
-            targets=report.targets,
-            lifts=report.lifts[:-1],
-        )
+        return dataclasses.replace(report, lifts=report.lifts[:-1])
 
     monkeypatch.setattr(lifting, "solve_aut_lifts", broken)
     assert cli.main(["verify", pres]) == 3

@@ -217,10 +217,12 @@ def test_aut_equals_filtered_hom():
 
 
 def test_aut_report_targets_cyclic():
-    rep = aut_report(problem(corpus.C6))
+    prob = problem(corpus.C6)
+    rep = aut_report(prob)
     # #N = 3 is prime: p - 1 = 2 targets
     assert len(rep.targets) == 2
-    assert rep.extended_matrix.rows == rep.matrix.rows + 1
+    context = prob.context
+    assert context.aut_system.matrix.rows == context.matrix.rows + 1
 
 
 def test_aut_report_targets_non_prime_power():
@@ -231,10 +233,12 @@ def test_aut_report_targets_non_prime_power():
 
 
 def test_aut_report_targets_non_cyclic():
-    rep = aut_report(problem(corpus.C2C2C4_AB))
+    prob = problem(corpus.C2C2C4_AB)
+    rep = aut_report(prob)
     # ordered pairs of distinct involutions generating C2 x C2
     assert len(rep.targets) == 6
-    assert rep.extended_matrix.rows == rep.matrix.rows + 2
+    context = prob.context
+    assert context.aut_system.matrix.rows == context.matrix.rows + 2
 
 
 def test_report_to_dict_shape():

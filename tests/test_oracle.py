@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 import corpus
@@ -41,14 +43,38 @@ def test_bf_aut_lifts_subset():
     for text in (corpus.C4, corpus.C6, corpus.Q8):
         prob = problem(text)
         hom = oracle.bf_hom_lifts(prob)
-        aut = oracle._surjective(prob.engine, hom)
+        aut = [e for e in hom if oracle._bijective(prob.engine, e.images)]
         assert set(aut) <= set(hom)
 
 
 def test_bf_aut_lifts_c6():
     prob = problem(corpus.C6)
-    assert len(oracle.bf_hom_lifts(prob)) == 3
-    assert len(oracle._surjective(prob.engine, oracle.bf_hom_lifts(prob))) == 2
+    hom = oracle.bf_hom_lifts(prob)
+    assert len(hom) == 3
+    assert sum(oracle._bijective(prob.engine, e.images) for e in hom) == 2
+
+
+@pytest.mark.parametrize(
+    "text, hom_count, aut_count, group_aut_count",
+    [(corpus.C6, 3, 2, 2), (corpus.C4C2, 4, 4, 8)],
+    ids=["C6", "C4xC2"],
+)
+def test_oracle_never_calls_generates(
+    text, hom_count, aut_count, group_aut_count, monkeypatch
+):
+    # the automorphy verdict compare checks must not come from the
+    # function the solver's is_automorphism uses
+    prob = problem(text)
+
+    def forbidden(*args):
+        raise AssertionError("the oracle called engines.generates")
+
+    monkeypatch.setattr(engines, "generates", forbidden)
+    hom = oracle.bf_hom_lifts(prob)
+    assert len(hom) == hom_count
+    assert sum(oracle._bijective(prob.engine, e.images) for e in hom) == aut_count
+    auts = oracle.bf_automorphism_group(prob.pres, prob.engine)
+    assert len(auts) == group_aut_count
 
 
 def test_budget_exceeded():
@@ -173,15 +199,7 @@ def test_compare_detects_injected_bug(monkeypatch):
 
     def broken(problem, hom):
         report = real(problem, hom)
-        return lifting.LiftReport(
-            kind=report.kind,
-            matrix=report.matrix,
-            extended_matrix=report.extended_matrix,
-            moduli=report.moduli,
-            residues=report.residues,
-            targets=report.targets,
-            lifts=report.lifts[1:],  # drop one lift
-        )
+        return dataclasses.replace(report, lifts=report.lifts[1:])  # drop one lift
 
     monkeypatch.setattr(lifting, "solve_aut_lifts", broken)
     with pytest.raises(oracle.Mismatch) as err:
