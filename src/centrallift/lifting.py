@@ -16,11 +16,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, prod
+from math import prod
 
 from . import engines, modlinalg
 from .engines import Element, GroupEngine
-from .modlinalg import IntMatrix, LinearSystem, SmithDecomposition, SolutionSet
+from .modlinalg import IntMatrix, SmithDecomposition, SolutionSet
 from .presentation import (
     CentralSubgroupSpec,
     NotCentral,
@@ -116,7 +116,9 @@ class LiftContext:
                     i, f"central word {format_word(word, pres.names)!r} is not central"
                 )
         self.z_orders = tuple(engines.element_order(engine, z) for z in self.z_elements)
-        self.n_elements = engines.subgroup_closure(engine, self.z_elements)
+        # N is central, so it is the set of power products of the z-elements
+        self.log_table = engines.central_log_table(engine, self.z_elements, self.z_orders)
+        self.n_elements = tuple(Element(engine, i) for i in sorted(self.log_table))
         self.n_order = len(self.n_elements)
         if prod(self.z_orders) != self.n_order:
             raise DependentCentralGenerators(
@@ -131,7 +133,6 @@ class LiftContext:
         self.projection = engines.map_images(
             engine, [self.quotient.generator(i) for i in range(pres.n)]
         )
-        self.log_table = engines.central_log_table(engine, self.z_elements, self.z_orders)
         self.matrix = build_exponent_matrix(pres)
         self.smith = modlinalg.smith(self.matrix)
 
@@ -155,15 +156,16 @@ class LiftContext:
         targets: list[tuple[str, tuple[tuple[int, ...], ...]]] = []
         if len(orders) == 1:
             order = orders[0]
-            if _is_prime_power(order):
-                p = _smallest_prime_factor(order)
+            factors = modlinalg.factorize(order)
+            if len(factors) == 1:
+                (p,) = factors
                 scale = order // p
                 targets = [(f"k={k}", ((k,),)) for k in range(1, p)]
             else:
                 # composite non-prime-power (or trivial) order: enumerate the
                 # admissible images of z directly; the smallest-prime trick
                 # only rules out one prime divisor.
-                targets = [(f"z->z^{c}", ((c,),)) for c in _units(order)]
+                targets = [(f"z->z^{c}", ((c,),)) for c in modlinalg.units(order)]
         else:
             for tup in itertools.product(self.n_elements, repeat=len(orders)):
                 if any(
@@ -273,14 +275,11 @@ class LiftTarget:
     count: int
 
     @classmethod
-    def solve(
-        cls, label: str, matrix: IntMatrix, dec: SmithDecomposition, rhs_blocks, moduli
-    ) -> "LiftTarget":
-        """Solve block j, matrix * v = rhs_blocks[j] mod moduli[j], against
-        dec; the count is the product of the block counts."""
+    def solve(cls, label: str, dec: SmithDecomposition, rhs_blocks, moduli) -> "LiftTarget":
+        """Solve block j, M * v = rhs_blocks[j] mod moduli[j], where
+        dec = smith(M); the count is the product of the block counts."""
         sets = tuple(
-            modlinalg.solve(LinearSystem(matrix, tuple(rhs), modulus), dec)
-            for rhs, modulus in zip(rhs_blocks, moduli)
+            modlinalg.solve(dec, rhs, modulus) for rhs, modulus in zip(rhs_blocks, moduli)
         )
         return cls(label, rhs_blocks, sets, prod(s.count for s in sets))
 
@@ -356,9 +355,7 @@ def _enumerate_block_solutions(target: LiftTarget):
 def _hom_target(problem: LiftProblem) -> LiftTarget:
     """M * v = w mod o_j, one block per z-generator."""
     context = problem.context
-    return LiftTarget.solve(
-        "hom", context.matrix, context.smith, problem.residues, context.z_orders
-    )
+    return LiftTarget.solve("hom", context.smith, problem.residues, context.z_orders)
 
 
 def solve_hom_lifts(problem: LiftProblem) -> LiftReport:
@@ -371,39 +368,6 @@ def solve_hom_lifts(problem: LiftProblem) -> LiftReport:
     if len({lift.endo for lift in lifts}) != len(lifts) or len(lifts) != target.count:
         raise SolverConsistencyError("block solutions did not map to distinct lifts")
     return LiftReport("homomorphic", (target,), tuple(lifts))
-
-
-def _smallest_prime_factor(n: int) -> int:
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 1
-    return n
-
-
-def _is_prime_power(n: int) -> bool:
-    if n < 2:
-        return False
-    p = _smallest_prime_factor(n)
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
-def is_squarefree(n: int) -> bool:
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        if n % d == 0:
-            n //= d
-        d += 1
-    return True
-
-
-def _units(m: int) -> list[int]:
-    return [c for c in range(m) if gcd(c, m) == 1]
 
 
 def solve_aut_lifts(problem: LiftProblem, hom: LiftReport) -> LiftReport:
@@ -432,7 +396,7 @@ def solve_aut_lifts(problem: LiftProblem, hom: LiftReport) -> LiftReport:
             )
             for j in range(t)
         )
-        target = LiftTarget.solve(label, system.matrix, system.smith, rhs_blocks, orders)
+        target = LiftTarget.solve(label, system.smith, rhs_blocks, orders)
         targets.append(target)
         for combo in _enumerate_block_solutions(target):
             lift = by_v.get(combo)
@@ -465,7 +429,7 @@ def squarefree_existence(problem: LiftProblem) -> bool:
     Only the hom target is solved; nothing is materialized.
     """
     n_order = problem.context.n_order
-    if not is_squarefree(n_order):
+    if any(e > 1 for e in modlinalg.factorize(n_order).values()):
         raise NotSquarefree(f"#N = {n_order} is not squarefree")
     return _hom_target(problem).count > 0
 

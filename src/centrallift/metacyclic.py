@@ -15,9 +15,9 @@ centre; and Inn(G) = <conj_x, conj_y>, since g -> conj_g is onto.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import lcm
 
-from . import engines, lifting, oracle
+from . import engines, lifting, modlinalg, oracle
 from .engines import Element, GroupEngine, PermutationEngine, _compose, _perm_power
 from .lifting import LiftContext
 from .presentation import CentralSubgroupSpec, NotCentral, Presentation, QuotientAutSpec
@@ -39,27 +39,6 @@ class VerificationFailed(AssertionError):
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise VerificationFailed(message)
-
-
-def _multiplicative_order(a: int, m: int) -> int:
-    if m == 1:
-        return 1
-    if gcd(a, m) != 1:
-        raise ValueError("not a unit")
-    k, cur = 1, a % m
-    while cur != 1:
-        cur = (cur * a) % m
-        k += 1
-    return k
-
-
-def _primitive_roots(m: int) -> list[int]:
-    phi = sum(1 for x in range(1, m) if gcd(x, m) == 1)
-    return [
-        a
-        for a in range(2, m)
-        if gcd(a, m) == 1 and _multiplicative_order(a, m) == phi
-    ]
 
 
 @dataclass(frozen=True)
@@ -84,7 +63,7 @@ class CaseStudyConfig:
                 f"|G|^2 = {self.group_order**2} candidates exceed the Aut(G) "
                 f"search budget {oracle.DEFAULT_AUT_BUDGET}"
             )
-        if lifting._smallest_prime_factor(self.p) != self.p:
+        if modlinalg.factorize(self.p) != {self.p: 1}:
             raise InvalidConfig("p must be an odd prime")
         if self.aut_order > self.order_budget:
             raise InvalidConfig(over)
@@ -210,8 +189,8 @@ def build_aut_A(
     x2_candidates = [m for m in maps if order_of[m] == p]
 
     a_candidates: list[tuple[int, bool, bool]] = []
-    roots_small = set(_primitive_roots(p ** (n - 2)))
-    roots_big = set(_primitive_roots(p ** (n - 1)))
+    roots_small = set(modlinalg.primitive_roots(p ** (n - 2)))
+    roots_big = set(modlinalg.primitive_roots(p ** (n - 1)))
     for a in sorted(roots_small | roots_big):
         a_candidates.append((a, a in roots_small, a in roots_big))
 
@@ -268,7 +247,7 @@ def build_aut_A(
 
 def _verify_params(cfg: CaseStudyConfig, engine: PermutationEngine, params: AutParams):
     # the engine is the triple's closure and build_aut_A took a from
-    # _primitive_roots, so neither needs a check: only the presentation does
+    # modlinalg.primitive_roots, so neither needs a check: only the presentation does
     pres = aut_presentation(cfg.p, cfg.n, params.a, params.a_inv, params.j, params.k)
     for rel in pres.relators:
         _require(
@@ -390,8 +369,6 @@ def _adjust_into_k(
 @dataclass(frozen=True)
 class SurjectivityReport:
     quotient_aut_count: int
-    lifts_per_phi: int
-    all_automorphic: bool
     aut_of_a_count: int
 
 
@@ -440,20 +417,13 @@ def verify_pi_surjective(
         len(aut_a) == fiber * len(phis),
         "|Aut(A)| != p^(n-3) * |Aut(A/Z)|",
     )
-    return SurjectivityReport(
-        quotient_aut_count=len(phis),
-        lifts_per_phi=fiber,
-        all_automorphic=True,
-        aut_of_a_count=len(aut_a),
-    )
+    return SurjectivityReport(quotient_aut_count=len(phis), aut_of_a_count=len(aut_a))
 
 
 @dataclass(frozen=True)
 class WitnessReport:
     phi: QuotientAutSpec
     psi: lifting.Endomorphism
-    inner: tuple[Element, ...]
-    verdict: bool
 
 
 def noncharacteristic_witness(
@@ -490,15 +460,13 @@ def noncharacteristic_witness(
     _require(image_set(set(center)) == set(center), "psi does not fix Z")
     _require(image_set(iz) != iz, "psi fixes IZ")
     inner_set = set(inner)
-    verdict = image_set(inner_set) != inner_set
-    _require(verdict, "psi fixes Inn(G)")
-    return WitnessReport(phi=phi, psi=psi, inner=inner, verdict=verdict)
+    _require(image_set(inner_set) != inner_set, "psi fixes Inn(G)")
+    return WitnessReport(phi=phi, psi=psi)
 
 
 @dataclass(frozen=True)
 class CaseStudyResult:
     cfg: CaseStudyConfig
-    pres_g: Presentation
     g_engine: GroupEngine
     a_engine: PermutationEngine
     params: AutParams
@@ -527,8 +495,9 @@ class CaseStudyResult:
             "quotient_order": self.quotient_order,
             "quotient_center_trivial": True,  # verify_center requires it
             "quotient_aut_count": self.surjectivity.quotient_aut_count,
-            "lifts_per_phi": self.surjectivity.lifts_per_phi,
-            "all_lifts_automorphic": self.surjectivity.all_automorphic,
+            # verify_pi_surjective requires both for every phi
+            "lifts_per_phi": self.cfg.p ** (self.cfg.n - 3),
+            "all_lifts_automorphic": True,
             "aut_of_aut_order": self.surjectivity.aut_of_a_count,
             "witness_phi": [
                 format_word(w, names) for w in self.witness.phi.rep_words
@@ -537,7 +506,7 @@ class CaseStudyResult:
                 format_word(engines.word_for_element(self.a_engine, im), names)
                 for im in self.witness.psi.images
             ],
-            "inner_not_characteristic": self.witness.verdict,
+            "inner_not_characteristic": True,  # noncharacteristic_witness requires it
         }
 
 
@@ -562,7 +531,6 @@ def run_case_study(cfg: CaseStudyConfig) -> CaseStudyResult:
     witness = noncharacteristic_witness(params, context, inner)
     return CaseStudyResult(
         cfg=cfg,
-        pres_g=pres_g,
         g_engine=g_engine,
         a_engine=a_engine,
         params=params,

@@ -1,8 +1,9 @@
-"""Exact linear algebra over Z and Z/m.
+"""Exact linear algebra over Z and Z/m, and the integer arithmetic it rests on.
 
-Smith normal form over the integers with unimodular transforms, and
-complete solution sets of M*v = w modulo a positive m.  All arithmetic is
-on Python ints, so relator exponents like p^(n-1) never overflow.
+Smith normal form over the integers with unimodular transforms, complete
+solution sets of M*v = w modulo a positive m, prime factorizations, unit
+groups and primitive roots.  All arithmetic is on Python ints, so relator
+exponents like p^(n-1) never overflow.
 """
 
 from __future__ import annotations
@@ -79,21 +80,6 @@ class SmithDecomposition:
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.D.get(i, i) for i in range(min(self.D.rows, self.D.cols)))
-
-
-@dataclass(frozen=True)
-class LinearSystem:
-    """M*v = w modulo a positive `modulus`."""
-
-    matrix: IntMatrix
-    rhs: tuple[int, ...]
-    modulus: int
-
-    def __post_init__(self):
-        if len(self.rhs) != self.matrix.rows:
-            raise ValueError("right-hand side length must match the row count")
-        if self.modulus < 1:
-            raise ValueError("modulus must be positive")
 
 
 @dataclass(frozen=True)
@@ -220,40 +206,43 @@ def _unsolvable(cols: int, modulus: int) -> SolutionSet:
     return SolutionSet(False, (0,) * cols, (), 0, modulus)
 
 
-def solve(system: LinearSystem, dec: SmithDecomposition) -> SolutionSet:
-    """Complete description of {v : M*v = w (mod modulus)}, given
+def solve(dec: SmithDecomposition, rhs: Sequence[int], modulus: int) -> SolutionSet:
+    """Complete description of {v : M*v = rhs (mod modulus)}, given
     dec = smith(M): one decomposition serves every right-hand side."""
-    matrix, w, mod = system.matrix, system.rhs, system.modulus
-    rows, cols = matrix.rows, matrix.cols
-    c = dec.U.mulvec(w) if rows else ()
+    rows, cols = dec.D.rows, dec.D.cols
+    if len(rhs) != rows:
+        raise ValueError("right-hand side length must match the row count")
+    if modulus < 1:
+        raise ValueError("modulus must be positive")
+    c = dec.U.mulvec(rhs) if rows else ()
     diag = [dec.D.get(i, i) for i in range(dec.rank)]
 
     y = [0] * cols
     steps = []  # (column of V, step, period): pivot columns, then free ones
     count = 1
     for i, d in enumerate(diag):
-        g = gcd(d, mod)
+        g = gcd(d, modulus)
         if c[i] % g:
-            return _unsolvable(cols, mod)
-        mg = mod // g
+            return _unsolvable(cols, modulus)
+        mg = modulus // g
         y[i] = ((c[i] // g) * pow((d // g) % mg, -1, mg)) % mg if mg > 1 else 0
         if g > 1:
             steps.append((i, mg, g))
             count *= g
     for i in range(dec.rank, rows):
-        if c[i] % mod:
-            return _unsolvable(cols, mod)
+        if c[i] % modulus:
+            return _unsolvable(cols, modulus)
     for j in range(dec.rank, cols):
-        if mod > 1:
-            steps.append((j, 1, mod))
-            count *= mod
+        if modulus > 1:
+            steps.append((j, 1, modulus))
+            count *= modulus
 
-    particular = tuple(x % mod for x in dec.V.mulvec(y))
+    particular = tuple(x % modulus for x in dec.V.mulvec(y))
     kernel = tuple(
-        (tuple(step * dec.V.get(r, col) % mod for r in range(cols)), period)
+        (tuple(step * dec.V.get(r, col) % modulus for r in range(cols)), period)
         for col, step, period in steps
     )
-    return SolutionSet(True, particular, kernel, count, mod)
+    return SolutionSet(True, particular, kernel, count, modulus)
 
 
 def _combination(sol: SolutionSet, coeffs: Sequence[int]) -> tuple[int, ...]:
@@ -273,6 +262,35 @@ def enumerate_solutions(sol: SolutionSet) -> list[tuple[int, ...]]:
         _combination(sol, coeffs)
         for coeffs in itertools.product(*(range(p) for _, p in sol.kernel_basis))
     )
+
+
+def factorize(n: int) -> dict[int, int]:
+    """{prime: exponent} for n >= 1, by trial division; {} for n = 1."""
+    factors: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        factors[n] = 1
+    return factors
+
+
+def units(m: int) -> list[int]:
+    """The residues 0 <= c < m coprime to m, in increasing order."""
+    return [c for c in range(m) if gcd(c, m) == 1]
+
+
+def primitive_roots(m: int) -> list[int]:
+    """The units a >= 2 of Z/m of order phi(m) = len(units(m)).  A unit's
+    order divides phi(m), so it is smaller iff a^(phi(m)/q) = 1 for some
+    prime q dividing phi(m)."""
+    unit_list = units(m)
+    phi = len(unit_list)
+    primes = factorize(phi)
+    return [a for a in unit_list if a >= 2 and all(pow(a, phi // q, m) != 1 for q in primes)]
 
 
 def matrix_to_strings(matrix: IntMatrix) -> list[list[str]]:

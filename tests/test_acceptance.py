@@ -8,7 +8,7 @@ import itertools
 import corpus
 from centrallift import engines, lifting, modlinalg, oracle
 from centrallift.lifting import LiftContext
-from centrallift.modlinalg import IntMatrix, LinearSystem
+from centrallift.modlinalg import IntMatrix
 from centrallift.presentation import parse_presentation
 from linalg_oracle import laplace_det, matmul, seeded_systems
 
@@ -32,8 +32,9 @@ def test_criterion_2_metacyclic_demo(case_study):
     assert len(case_study.center) == 9
     assert case_study.quotient_order == 18
     s = case_study.surjectivity
-    assert s.lifts_per_phi == 3
-    assert s.all_automorphic
+    payload = case_study.to_dict()
+    assert payload["lifts_per_phi"] == 3
+    assert payload["all_lifts_automorphic"] is True
     assert s.aut_of_a_count == 3 * s.quotient_aut_count
     report(
         "2 PASS: |G|=81, |A|=162, |Z|=9, |A/Z|=18; every phi has 3 lifts, "
@@ -43,7 +44,7 @@ def test_criterion_2_metacyclic_demo(case_study):
 
 def test_criterion_3_noncharacteristic_witness(case_study):
     witness = case_study.witness
-    assert witness.verdict is True
+    assert case_study.to_dict()["inner_not_characteristic"] is True
     psi_map = engines.map_images(case_study.a_engine, witness.psi.images)
     inner = set(case_study.inner)
     moved = {case_study.a_engine.element(psi_map[el.index]) for el in inner}
@@ -70,7 +71,7 @@ def test_criterion_5_squarefree_equivalence():
     checked = 0
     for name, text in corpus.CORPUS:
         pres, central, engine, n_elements = corpus.build(text)
-        if not lifting.is_squarefree(len(n_elements)):
+        if any(e > 1 for e in modlinalg.factorize(len(n_elements)).values()):
             continue
         context = LiftContext(pres, engine, central)
         for spec in oracle.bf_quotient_auts(context):
@@ -103,7 +104,7 @@ def test_criterion_6_snf_and_solve_properties():
         d = [x for x in dec.diagonal() if x]
         assert all(d[i + 1] % d[i] == 0 for i in range(len(d) - 1))
 
-        sol = modlinalg.solve(LinearSystem(matrix, w, modulus), dec)
+        sol = modlinalg.solve(dec, w, modulus)
         brute = 0
         mrows = [matrix.row(i) for i in range(rows)]
         for v in itertools.product(range(modulus), repeat=cols):

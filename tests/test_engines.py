@@ -231,6 +231,15 @@ def test_quotient_is_g_mod_n_on_corpus(text):
     assert_quotient_is_g_mod_n(corpus_context(text))
 
 
+@pytest.mark.parametrize(
+    "text", [text for _, text in corpus.CORPUS], ids=[name for name, _ in corpus.CORPUS]
+)
+def test_n_is_the_closure_of_the_z_elements_on_corpus(text):
+    # LiftContext reads N off the central log table; the closure is the reference
+    context = corpus_context(text)
+    assert context.n_elements == subgroup_closure(context.engine, context.z_elements)
+
+
 def test_quotient_is_a_mod_z_in_the_case_study(case_study):
     central = metacyclic._central_spec(case_study.cfg)
     context = LiftContext(case_study.pres_a, case_study.a_engine, central)

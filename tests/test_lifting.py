@@ -95,7 +95,7 @@ def test_hom_lift_count_coprime_modulus():
     )
     dec = modlinalg.smith(m)
     for modulus in (2, 3, 7, 11, 12):
-        s = modlinalg.solve(modlinalg.LinearSystem(m, (0, 0), modulus), dec)
+        s = modlinalg.solve(dec, (0, 0), modulus)
         assert s.count == 1
 
 

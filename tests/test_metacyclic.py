@@ -4,8 +4,8 @@ import pytest
 
 from centrallift import cli, engines, metacyclic, oracle
 from centrallift.metacyclic import CaseStudyConfig, metacyclic_presentation
-from centrallift.presentation import CentralSubgroupSpec, Presentation
-from centrallift.words import FreeWord, evaluate, format_word
+from centrallift.presentation import CentralSubgroupSpec, Presentation, QuotientAutSpec
+from centrallift.words import FreeWord, concat, evaluate, format_word
 
 
 def test_config_validation():
@@ -129,13 +129,45 @@ def test_commutator_structure(case_study):
 
 def test_pi_surjective(case_study):
     s = case_study.surjectivity
-    assert s.lifts_per_phi == 3
-    assert s.all_automorphic
+    payload = case_study.to_dict()
+    assert payload["lifts_per_phi"] == 3
+    assert payload["all_lifts_automorphic"] is True
     assert s.aut_of_a_count == 3 * s.quotient_aut_count
 
 
+def test_adjust_into_k_shifts_a_representative_outside_k(case_study):
+    # every representative bf_quotient_auts gives already lies in K, so move
+    # one phi's x1 representative off K by z = x3^(p-1) and let the shift undo it
+    from centrallift.lifting import LiftContext, solve_hom_lifts
+
+    cfg, a, params = case_study.cfg, case_study.a_engine, case_study.params
+    p, fiber = cfg.p, cfg.p ** (cfg.n - 3)
+    context = LiftContext(case_study.pres_a, a, metacyclic._central_spec(cfg))
+    k_elems = set(engines.subgroup_closure(a, (params.x1, params.x2)))
+    gens = [a.generator(i) for i in range(3)]
+    spec = oracle.bf_quotient_auts(context)[0]
+    moved = concat(spec.rep_words[0], FreeWord(((2, p - 1),)))
+    assert evaluate(moved, gens, a) not in k_elems
+    off_k = QuotientAutSpec((moved,) + spec.rep_words[1:])
+
+    adjusted = metacyclic._adjust_into_k(cfg, a, params, off_k, k_elems)
+    word = adjusted.rep_words[0]
+    assert word != moved
+    value, original = evaluate(word, gens, a), evaluate(moved, gens, a)
+    assert value in k_elems
+    assert a.multiply(a.inverse(original), value) in set(case_study.center)
+
+    problem = context.problem(adjusted)
+    report = solve_hom_lifts(problem)
+    w = problem.residues[0]
+    assert w[:3] == (0, 0, 0)
+    assert all(w[i] % fiber == 0 for i in (3, 4, 5))
+    assert len(report.lifts) == fiber
+    assert all(lift.automorphic for lift in report.lifts)
+
+
 def test_witness(case_study):
-    assert case_study.witness.verdict is True
+    assert case_study.to_dict()["inner_not_characteristic"] is True
     # phi swaps the generator cosets of the two C_p factors
     params = case_study.params
     words = [format_word(w, case_study.pres_a.names) for w in case_study.witness.phi.rep_words]

@@ -6,16 +6,18 @@ import pytest
 
 from centrallift.modlinalg import (
     IntMatrix,
-    LinearSystem,
     enumerate_solutions,
+    factorize,
+    primitive_roots,
     smith,
     solve,
+    units,
 )
 from linalg_oracle import laplace_det, matmul, seeded_systems
 
 
 def solve_system(matrix, rhs, modulus):
-    return solve(LinearSystem(matrix, rhs, modulus), smith(matrix))
+    return solve(smith(matrix), rhs, modulus)
 
 
 def minor_gcd_diagonal(matrix: IntMatrix):
@@ -98,7 +100,14 @@ def test_solve_parity_obstruction():
 def test_linear_system_rejects_non_positive_modulus():
     for modulus in (0, -1):
         with pytest.raises(ValueError, match="modulus must be positive"):
-            LinearSystem(IntMatrix.identity(1), (0,), modulus)
+            solve(smith(IntMatrix.identity(1)), (0,), modulus)
+
+
+def test_solve_rejects_a_right_hand_side_of_the_wrong_length():
+    dec = smith(IntMatrix.from_rows([[1, 2], [3, 4]]))
+    for rhs in ((), (0,), (0, 0, 0)):
+        with pytest.raises(ValueError, match="right-hand side length must match"):
+            solve(dec, rhs, 5)
 
 
 def test_modulus_one_degenerate():
@@ -166,8 +175,8 @@ def test_solution_sets_are_kernel_cosets():
         w0 = tuple(x % modulus for x in m.mulvec(v0))
         w1 = tuple(x % modulus for x in m.mulvec(v1))
         dec = smith(m)
-        s0 = solve(LinearSystem(m, w0, modulus), dec)
-        s1 = solve(LinearSystem(m, w1, modulus), dec)
+        s0 = solve(dec, w0, modulus)
+        s1 = solve(dec, w1, modulus)
         assert s0.solvable and s1.solvable
         assert s0.count == s1.count
 
@@ -183,3 +192,25 @@ def test_smith_diagonal_matches_sympy():
         assert [abs(d) for d in mine] == [
             abs(theirs[i, i]) for i in range(len(mine))
         ], rows
+
+
+def test_factorize_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for n in range(1, 2000):
+        assert factorize(n) == sympy.factorint(n), n
+
+
+def test_primitive_roots_have_order_phi():
+    # the definition: a >= 2 whose multiplicative order mod m is phi(m)
+    for m in range(1, 400):
+        phi = len(units(m))
+        assert phi == sum(1 for c in range(m) if math.gcd(c, m) == 1)
+        expected = []
+        for a in range(2, m):
+            if math.gcd(a, m) == 1:
+                order, cur = 1, a % m
+                while cur != 1:
+                    cur, order = cur * a % m, order + 1
+                if order == phi:
+                    expected.append(a)
+        assert primitive_roots(m) == expected, m
