@@ -116,6 +116,13 @@ class LiftContext:
                     i, f"central word {format_word(word, pres.names)!r} is not central"
                 )
         self.z_orders = tuple(engines.element_order(engine, z) for z in self.z_elements)
+        # N <= G, so independent z-generators have order product at most |G|;
+        # refusing a larger product first keeps the table below |G| products
+        if prod(self.z_orders) > engine.order():
+            raise DependentCentralGenerators(
+                f"z-generators have order product {prod(self.z_orders)} but G has "
+                f"order {engine.order()}; supply independent generators"
+            )
         # N is central, so it is the set of power products of the z-elements
         self.log_table = engines.central_log_table(engine, self.z_elements, self.z_orders)
         self.n_elements = tuple(Element(engine, i) for i in sorted(self.log_table))

@@ -168,6 +168,17 @@ def test_dependent_generators_rejected():
         LiftContext(pres, engine, central)
 
 
+def test_dependent_generators_rejected_before_the_log_table():
+    # three copies of x in C_2000: the order product 2000^3 exceeds |G|, and
+    # building the log table first would take 8e9 products
+    pres, central, engine, _ = corpus.build(
+        "generators: x\nrelator: x^2000\n" + "central: x\n" * 3
+    )
+    assert len(central.z_words) == 3
+    with pytest.raises(DependentCentralGenerators, match="G has order 2000"):
+        LiftContext(pres, engine, central)
+
+
 def test_trivial_central_subgroup():
     pres, _, engine, _ = corpus.build(corpus.C4)
     central = CentralSubgroupSpec((parse_word("x^4", pres.names),))
