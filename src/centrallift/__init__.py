@@ -16,6 +16,7 @@ from .lifting import (
     LiftContext,
     LiftProblem,
     LiftReport,
+    count_lifts,
     solve_aut_lifts,
     solve_hom_lifts,
     squarefree_existence,
@@ -40,6 +41,7 @@ __all__ = [
     "LiftContext",
     "LiftProblem",
     "LiftReport",
+    "count_lifts",
     "solve_hom_lifts",
     "solve_aut_lifts",
     "squarefree_existence",

@@ -377,6 +377,38 @@ def solve_hom_lifts(problem: LiftProblem) -> LiftReport:
     return LiftReport("homomorphic", (target,), tuple(lifts))
 
 
+def _aut_targets(problem: LiftProblem) -> tuple[LiftTarget, ...]:
+    """Each target of the context's aut_system, solved against the
+    extended matrix, with the right-hand sides AutSystem describes."""
+    system = problem.context.aut_system
+    orders = problem.z_orders
+    t = len(orders)
+    w, u = problem.residues, problem.z_residues
+
+    def rhs_blocks(shifts):
+        return tuple(
+            w[j] + tuple(system.scale * (u[i][j] + shifts[j][i]) % orders[j] for i in range(t))
+            for j in range(t)
+        )
+
+    return tuple(
+        LiftTarget.solve(label, system.smith, rhs_blocks(shifts), orders)
+        for label, shifts in system.targets
+    )
+
+
+def count_lifts(problem: LiftProblem) -> tuple[int, int]:
+    """(homomorphic, automorphic) lift counts of phi, read off the Smith
+    forms; nothing is materialized.
+
+    The extended matrix is M with rows appended and w on top, so every aut
+    target's solutions are hom solutions; each target fixes a different
+    image of the z-generators, so the targets are disjoint.  Equal counts
+    mean that every homomorphic lift is automorphic.
+    """
+    return _hom_target(problem).count, sum(t.count for t in _aut_targets(problem))
+
+
 def solve_aut_lifts(problem: LiftProblem, hom: LiftReport) -> LiftReport:
     """All automorphic lifts of phi, given hom = solve_hom_lifts(problem).
 
@@ -385,26 +417,14 @@ def solve_aut_lifts(problem: LiftProblem, hom: LiftReport) -> LiftReport:
     homomorphic lifts.  The union over targets is cross-checked against
     the homomorphic lifts filtered by the psi(N)=N criterion.
     """
-    system = problem.context.aut_system
-    orders = problem.z_orders
-    t = len(orders)
     by_v = {lift.v_blocks: lift for lift in hom.lifts}
     truth = {lift.endo for lift in hom.lifts if lift.automorphic}
-    w, u = problem.residues, problem.z_residues
 
-    targets: list[LiftTarget] = []
+    targets = _aut_targets(problem)
     lifts: list[Lift] = []
     seen: dict[Endomorphism, str] = {}
-    for label, shifts in system.targets:
-        rhs_blocks = tuple(
-            w[j]
-            + tuple(
-                system.scale * (u[i][j] + shifts[j][i]) % orders[j] for i in range(t)
-            )
-            for j in range(t)
-        )
-        target = LiftTarget.solve(label, system.smith, rhs_blocks, orders)
-        targets.append(target)
+    for target in targets:
+        label = target.label
         for combo in _enumerate_block_solutions(target):
             lift = by_v.get(combo)
             if lift is None:
@@ -427,7 +447,7 @@ def solve_aut_lifts(problem: LiftProblem, hom: LiftReport) -> LiftReport:
             f"target construction found {len(seen)} automorphic lifts, "
             f"filtering homomorphic lifts found {len(truth)}"
         )
-    return LiftReport("automorphic", tuple(targets), tuple(lifts))
+    return LiftReport("automorphic", targets, tuple(lifts))
 
 
 def squarefree_existence(problem: LiftProblem) -> bool:

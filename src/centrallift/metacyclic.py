@@ -7,9 +7,12 @@ found by search, not hardcoded), identifies Z = Z(A) and I = Inn(G)
 inside A, shows that every automorphism of A/Z has exactly p^(n-3)
 homomorphic lifts and that all of them are automorphic, and finally
 exhibits an automorphism of A moving I.  Every claim is re-verified by
-direct engine computation, except two derived facts: Z(A) = Z, since the
-LiftContext for (A, Z) checks that z is central and A/Z has trivial
-centre; and Inn(G) = <conj_x, conj_y>, since g -> conj_g is onto.
+direct engine computation, except three derived facts: Z(A) = Z, since
+the LiftContext for (A, Z) checks that z is central and A/Z has trivial
+centre; Inn(G) = <conj_x, conj_y>, since g -> conj_g is onto; and the
+lift counts of each phi after the first, which are read off the Smith
+forms (lifting.count_lifts) and checked as a whole by the order of
+Aut(A), found by the oracle's independent search.
 """
 
 from __future__ import annotations
@@ -380,18 +383,21 @@ def verify_pi_surjective(
 ) -> SurjectivityReport:
     """Every phi in Aut(A/Z) lifts to exactly p^(n-3) automorphisms of A.
 
-    Also checks the residue pattern (rows for x1^p, x2^p, x3^e vanish;
-    the commutation rows are divisible by p^(n-3)) and the order count
-    |Aut(A)| = p^(n-3) * |Aut(A/Z)|.
+    Each phi's homomorphic and automorphic lifts are counted from the
+    Smith forms (lifting.count_lifts), and the counts must be p^(n-3) and
+    equal.  Only the first phi's lifts are materialized and tested by
+    is_automorphism, and they must agree with its counts.  Also checks the
+    residue pattern (rows for x1^p, x2^p, x3^e vanish; the commutation
+    rows are divisible by p^(n-3)) and, against the oracle's Aut(A)
+    search, the order count |Aut(A)| = p^(n-3) * |Aut(A/Z)|.
     """
     p, n = cfg.p, cfg.n
     fiber = p ** (n - 3)
     a_engine = context.engine
     phis = oracle.bf_quotient_auts(context)
-    for spec in phis:
+    for index, spec in enumerate(phis):
         adjusted = _adjust_into_k(cfg, a_engine, params, spec, k_elems)
         problem = context.problem(adjusted)
-        report = lifting.solve_hom_lifts(problem)
         w = problem.residues[0]
         _require(
             w[0] == 0 and w[1] == 0 and w[2] == 0,
@@ -401,14 +407,15 @@ def verify_pi_surjective(
             all(w[i] % fiber == 0 for i in (3, 4, 5)),
             "commutation residues are not divisible by p^(n-3)",
         )
-        _require(
-            len(report.lifts) == fiber,
-            f"phi has {len(report.lifts)} homomorphic lifts, expected {fiber}",
-        )
-        _require(
-            all(lift.automorphic for lift in report.lifts),
-            "a homomorphic lift failed to be automorphic",
-        )
+        hom, aut = lifting.count_lifts(problem)
+        if index == 0:
+            lifts = lifting.solve_hom_lifts(problem).lifts
+            _require(
+                (len(lifts), sum(lift.automorphic for lift in lifts)) == (hom, aut),
+                "the first phi's materialized lifts disagree with its Smith-form counts",
+            )
+        _require(hom == fiber, f"phi has {hom} homomorphic lifts, expected {fiber}")
+        _require(aut == hom, "a homomorphic lift failed to be automorphic")
     # the config already gates |A|, so allow the full |A|^3 candidate space
     aut_a = oracle.bf_automorphism_group(
         context.pres, a_engine, budget=max(oracle.DEFAULT_AUT_BUDGET, a_engine.order() ** 3)

@@ -9,6 +9,7 @@ exponents like p^(n-1) never overflow.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
@@ -54,8 +55,9 @@ class IntMatrix:
     def mulvec(self, vec: Sequence[int]) -> tuple[int, ...]:
         if len(vec) != self.cols:
             raise ValueError("dimension mismatch")
+        cols, entries = self.cols, self.entries
         return tuple(
-            sum(self.get(i, k) * vec[k] for k in range(self.cols))
+            sum(map(operator.mul, entries[i * cols : (i + 1) * cols], vec))
             for i in range(self.rows)
         )
 

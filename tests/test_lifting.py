@@ -1,13 +1,14 @@
 import pytest
 
 import corpus
-from centrallift import modlinalg, oracle
+from centrallift import lifting, modlinalg, oracle
 from centrallift.lifting import (
     DependentCentralGenerators,
     LiftContext,
     LiftProblem,
     NotSquarefree,
     build_exponent_matrix,
+    count_lifts,
     is_automorphism,
     materialize,
     report_to_dict,
@@ -214,6 +215,21 @@ def test_fiber_uniformity(name, text):
         if count:
             counts.add(count)
     assert len(counts) <= 1
+
+
+@pytest.mark.parametrize("name,text", corpus.CORPUS)
+def test_count_lifts_matches_the_materialized_lifts(name, text, monkeypatch):
+    # the corpus covers prime-power, composite and non-cyclic N
+    pres, central, engine, _ = corpus.build(text)
+    context = LiftContext(pres, engine, central)
+    for spec in oracle.bf_quotient_auts(context):
+        prob = context.problem(spec)
+        with monkeypatch.context() as m:
+            for unused in ("materialize", "is_automorphism"):
+                m.setattr(lifting, unused, None)  # count_lifts calls neither
+            counts = count_lifts(prob)
+        hom = solve_hom_lifts(prob)
+        assert counts == (len(hom.lifts), len(solve_aut_lifts(prob, hom).lifts))
 
 
 def test_aut_equals_filtered_hom():

@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from centrallift import cli, engines, metacyclic, oracle
+from centrallift import cli, engines, lifting, metacyclic, oracle
 from centrallift.metacyclic import CaseStudyConfig, metacyclic_presentation
 from centrallift.presentation import CentralSubgroupSpec, Presentation, QuotientAutSpec
 from centrallift.words import FreeWord, concat, evaluate, format_word
@@ -262,6 +262,47 @@ def test_case_study_scans_neither_a_nor_the_conjugations_of_g(monkeypatch):
     assert [engine.order() for engine in scanned] == [18, 81]  # A/Z, then G
     g = result.g_engine
     assert conjugated_by == [g.generator(0), g.generator(1)]
+
+
+def test_demo_materializes_only_the_lifts_it_checks(monkeypatch, tmp_path):
+    # the first phi's 3 lifts and the witness's 3; the other 431 phis' lifts
+    # are counted from the Smith forms, and the report keeps its bytes
+    calls = {"materialize": 0, "is_automorphism": 0}
+    for name in calls:
+
+        def spy(*args, _real=getattr(lifting, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(lifting, name, spy)
+    out = tmp_path / "report.json"
+    assert cli.main(["demo", "--p", "3", "--n", "4", "--out", str(out)]) == 0
+    assert calls == {"materialize": 6, "is_automorphism": 6}
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "383bc871cd78ef367045487edef6012119a8c2ac4cf2fcda2fd9506de3ceef79"
+    )
+
+
+def test_demo_cross_checks_the_counts_against_the_first_phis_lifts(
+    monkeypatch, capsys
+):
+    # a count_lifts that claims one lift too few is caught by the first phi's
+    # materialized lifts, before the fibre-size checks see the counts
+    real = lifting.count_lifts
+
+    def undercount(problem):
+        hom, aut = real(problem)
+        return hom, aut - 1
+
+    monkeypatch.setattr(lifting, "count_lifts", undercount)
+    message = "the first phi's materialized lifts disagree with its Smith-form counts"
+    with pytest.raises(metacyclic.VerificationFailed) as failed:
+        metacyclic.run_case_study(CaseStudyConfig(3, 4))
+    assert str(failed.value) == message
+    assert cli.main(["demo", "--p", "3", "--n", "4"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal error: VerificationFailed: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -1,16 +1,19 @@
-"""Property tests: the solver against the brute-force oracle on generated
-finite presentations with a cyclic or a two-generator central subgroup."""
+"""Property tests: the solver against the brute-force oracle, and its
+Smith-form lift counts against its materialized lifts, on generated
+finite presentations with a cyclic or a two-generator central subgroup;
+IntMatrix.mulvec against the naive double sum on generated matrices."""
 
 import os
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import configuration, given, settings, strategies as st
+from hypothesis import configuration, example, given, settings, strategies as st
 
 import corpus
 from centrallift import oracle
-from centrallift.lifting import LiftContext
+from centrallift.lifting import LiftContext, count_lifts, solve_aut_lifts, solve_hom_lifts
+from centrallift.modlinalg import IntMatrix
 
 # Whatever the database setting, hypothesis caches the literals of local
 # modules under its home directory (./.hypothesis).  A home in which no
@@ -78,3 +81,36 @@ def test_solver_matches_oracle_on_generated_groups(text):
             hom_counts.add(report.solver_hom_count)
     # the homomorphic lifts of any liftable phi form a coset of one group
     assert len(hom_counts) <= 1
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(central_quotients())
+def test_count_lifts_matches_the_materialized_lifts(text):
+    pres, central, engine, _ = corpus.build(text)
+    context = LiftContext(pres, engine, central)
+    for phi in oracle.bf_quotient_auts(context):
+        problem = context.problem(phi)
+        hom = solve_hom_lifts(problem)
+        aut = solve_aut_lifts(problem, hom)
+        assert count_lifts(problem) == (len(hom.lifts), len(aut.lifts))
+
+
+@st.composite
+def matrices_and_vectors(draw) -> tuple[int, int, list[int], list[int]]:
+    """(rows, cols, row-major entries, vector), each dimension 0..6."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    ints = st.integers(-(10**20), 10**20)
+    entries = draw(st.lists(ints, min_size=rows * cols, max_size=rows * cols))
+    return rows, cols, entries, draw(st.lists(ints, min_size=cols, max_size=cols))
+
+
+@settings(derandomize=True, database=None, max_examples=200)
+@given(matrices_and_vectors())
+@example((1, 4, [3, -1, 0, 7], [2, 5, -9, 1]))
+@example((4, 1, [3, -1, 0, 7], [-6]))
+def test_mulvec_is_the_naive_double_sum(case):
+    rows, cols, entries, vec = case
+    naive = tuple(
+        sum(entries[i * cols + k] * vec[k] for k in range(cols)) for i in range(rows)
+    )
+    assert IntMatrix(rows, cols, tuple(entries)).mulvec(vec) == naive
