@@ -6,10 +6,10 @@ each generator and its inverse on the indices.  Column j of the Cayley
 table (i -> i*j) is built on first use from the column of j's parent in
 the BFS word tree, so hot loops that multiply by a few fixed elements
 build only their columns.  Engines come from todd_coxeter (the regular
-action on the coset table of a presentation, G/N included) and
-PermutationEngine (automorphism groups, as sorted permutations of the
-base group's element indices).  Lazy caches only ever add columns,
-inverses and powers, so concurrent readers are safe.
+action on the coset table of a presentation: G, G/N and Aut(G)) and
+PermutationEngine (a small permutation group closed from its
+generators, as sorted permutations).  Lazy caches only ever add
+columns, inverses and powers, so concurrent readers are safe.
 """
 
 from __future__ import annotations
@@ -32,10 +32,6 @@ class EngineMismatch(TypeError):
 
 class CosetLimitExceeded(RuntimeError):
     """Coset enumeration outgrew its limit (infinite group or limit too small)."""
-
-
-class NotInSubgroup(ValueError):
-    """A permutation is not an element of the permutation engine."""
 
 
 class Element:
@@ -221,6 +217,10 @@ def _perm_power(perm: Sequence[int], k: int) -> tuple[int, ...]:
     return acc
 
 
+def _perm_inverse(perm: Sequence[int]) -> list[int]:
+    return sorted(range(len(perm)), key=perm.__getitem__)
+
+
 class PermutationEngine(GroupEngine):
     """Finite group of permutations of {0..n-1}, closed from its generators.
 
@@ -247,19 +247,12 @@ class PermutationEngine(GroupEngine):
                     seen.add(nxt)
                     elems.append(nxt)
         self._perms = sorted(elems)
-        self._index = {p: i for i, p in enumerate(self._perms)}
+        index = {p: i for i, p in enumerate(self._perms)}
         steps = []
         for g in gens:
-            forward = [self._index[_compose(p, g)] for p in self._perms]
-            backward = sorted(range(len(forward)), key=forward.__getitem__)  # inverse
-            steps += [forward, backward]
+            forward = [index[_compose(p, g)] for p in self._perms]
+            steps += [forward, _perm_inverse(forward)]
         super().__init__(len(self._perms), steps)
-
-    def element_from_perm(self, perm: tuple[int, ...]) -> Element:
-        try:
-            return Element(self, self._index[tuple(perm)])
-        except KeyError:
-            raise NotInSubgroup("permutation is not an element of this engine") from None
 
 
 def _regular_steps(npoints: int, actions: list[list[int]]) -> list[list[int]]:

@@ -1,9 +1,10 @@
 """Metacyclic showcase: Inn(G) is not characteristic in Aut(G).
 
 For G = <x, y | x^(p^(n-1)), y^p, x^y = x^(1+p^(n-2))> with p an odd
-prime and n >= 4, this module builds A = Aut(G) as a composition engine,
-fits the known 3-generator presentation of A (parameters a, j, k are
-found by search, not hardcoded), identifies Z = Z(A) and I = Inn(G)
+prime and n >= 4, this module fits the known 3-generator presentation
+of A = Aut(G) (parameters a, j, k are found by search, not hardcoded),
+enumerates it as A's engine, ties each element of A to the automorphism
+of G with the same images of x and y, identifies Z = Z(A) and I = Inn(G)
 inside A, shows that every automorphism of A/Z has exactly p^(n-3)
 homomorphic lifts and that all of them are automorphic, and finally
 exhibits an automorphism of A moving I.  Every claim is re-verified by
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from . import engines, lifting, modlinalg, oracle
-from .engines import Element, GroupEngine, PermutationEngine, _compose, _perm_power
+from .engines import Element, GroupEngine, PermutationEngine, _compose, _perm_inverse, _perm_power
 from .lifting import LiftContext
 from .presentation import CentralSubgroupSpec, NotCentral, Presentation, QuotientAutSpec
 from .words import FreeWord, concat, evaluate, format_word
@@ -124,9 +125,6 @@ class AutParams:
     a_is_proot_mod_pn2: bool
     a_is_proot_mod_pn1: bool
 
-    def triple(self) -> tuple[Element, Element, Element]:
-        return (self.x1, self.x2, self.x3)
-
 
 def build_group(cfg: CaseStudyConfig, pres: Presentation) -> GroupEngine:
     engine = engines.todd_coxeter(pres, max_cosets=50 * cfg.group_order)
@@ -167,39 +165,34 @@ def build_aut_A(
     pres_g: Presentation,
     g_engine: GroupEngine,
     inner_maps: list[tuple[int, ...]],
-) -> tuple[PermutationEngine, AutParams, Presentation]:
-    """Aut(G) as a composition engine generated by the fitted triple, with
-    the fitted presentation that _verify_params checks.
+) -> tuple[GroupEngine, AutParams, Presentation, dict[tuple[int, int], int]]:
+    """A = Aut(G) as the engine of its fitted presentation, with the fitted
+    parameters, the presentation and A's element index by pair.
 
-    Automorphisms are permutations of G's element indices.  The parameter
-    search runs on the sorted maps of the oracle's automorphisms as plain
-    tuples: it tries primitive roots a of both p^(n-2) and p^(n-1), j and
-    k in [0, p), x1 among the order-p maps of inner_maps, in their order,
-    and x3 among maps of maximal order (p-1)p^(n-2).  The one engine is
-    the closure of the first triple that fits and generates every map.
+    The search runs on automorphisms as maps of G's element indices, in the
+    oracle's order (sorted by generator images, so by map): x1 among the
+    order-p maps of inner_maps, in their order, x2 among the order-p maps,
+    x3 among those of maximal order (p-1)p^(n-2), a among the primitive
+    roots of p^(n-2) or p^(n-1), j and k in [0, p).
     """
     p, n = cfg.p, cfg.n
     auts = oracle.bf_automorphism_group(pres_g, g_engine)
     _require(len(auts) == cfg.aut_order, "automorphism group order mismatch")
 
-    maps = sorted(engines.map_images(g_engine, a.images) for a in auts)
-    order_of = {m: _perm_order(m) for m in maps}
-
     max_order = (p - 1) * p ** (n - 2)
     small = (p - 1) * p ** (n - 3)
-    x3_candidates = [m for m in maps if order_of[m] == max_order]
-    x1_candidates = [m for m in inner_maps if order_of[m] == p]
-    x2_candidates = [m for m in maps if order_of[m] == p]
-
-    a_candidates: list[tuple[int, bool, bool]] = []
+    by_order: dict[int, list[tuple[int, ...]]] = {p: [], max_order: []}
+    for aut in auts:  # one map at a time: only the candidates are kept
+        m = engines.map_images(g_engine, aut.images)
+        by_order.get(_perm_order(m), []).append(m)
+    x2_candidates, x3_candidates = by_order[p], by_order[max_order]
+    x1_candidates = [m for m in inner_maps if _perm_order(m) == p]
     roots_small = set(modlinalg.primitive_roots(p ** (n - 2)))
     roots_big = set(modlinalg.primitive_roots(p ** (n - 1)))
-    for a in sorted(roots_small | roots_big):
-        a_candidates.append((a, a in roots_small, a in roots_big))
 
     def with_exponents(candidates, exp: int, x3, step):
         # (x, e) for each x with x3^-1 x x3 * step^e == x^exp, e in [0, p)
-        x3_inv = _perm_power(x3, max_order - 1)
+        x3_inv = _perm_inverse(x3)
         found = []
         for x in candidates:
             want, cur = _perm_power(x, exp), _compose(_compose(x3_inv, x), x3)
@@ -210,7 +203,7 @@ def build_aut_A(
                 cur = _compose(cur, step)
         return found
 
-    for a, proot_small, proot_big in a_candidates:
+    for a in sorted(roots_small | roots_big):
         a_inv = pow(a % p, -1, p)
         for x3 in x3_candidates:
             step = _perm_power(x3, small)
@@ -226,45 +219,54 @@ def build_aut_A(
                     )
                     if comm != step:
                         continue
-                    engine = PermutationEngine([x1, x2, x3])
-                    if engine.order() < len(maps):
+                    pres = aut_presentation(p, n, a, a_inv, jj, kk)
+                    fitted = _verify_params(cfg, g_engine, auts, pres, (x1, x2, x3))
+                    if fitted is None:
                         continue
-                    _require(
-                        engine._perms == maps,
-                        "fitted triple does not close to the oracle's automorphisms",
-                    )
-                    params = AutParams(
-                        x1=engine.generator(0),
-                        x2=engine.generator(1),
-                        x3=engine.generator(2),
-                        a=a,
-                        a_inv=a_inv,
-                        j=jj,
-                        k=kk,
-                        a_is_proot_mod_pn2=proot_small,
-                        a_is_proot_mod_pn1=proot_big,
-                    )
-                    return engine, params, _verify_params(cfg, engine, params)
+                    engine, index = fitted
+                    gens = map(engine.generator, range(3))
+                    flags = (a in roots_small, a in roots_big)
+                    params = AutParams(*gens, a, a_inv, jj, kk, *flags)
+                    return engine, params, pres, index
     raise SearchFailed("no (a, j, k, x1, x2, x3) satisfies the presentation")
 
 
-def _verify_params(cfg: CaseStudyConfig, engine: PermutationEngine, params: AutParams):
-    # the engine is the triple's closure and build_aut_A took a from
-    # modlinalg.primitive_roots, so neither needs a check: only the presentation does
-    pres = aut_presentation(cfg.p, cfg.n, params.a, params.a_inv, params.j, params.k)
-    for rel in pres.relators:
-        _require(
-            evaluate(rel, params.triple(), engine) == engine.identity(),
-            "a fitted presentation relator does not hold",
-        )
-    # relators holding at a generating triple make A a quotient of <pres>;
-    # equal orders make them isomorphic.  HLT needs ~54|A| cosets at p = 5.
+def _verify_params(
+    cfg: CaseStudyConfig, g_engine: GroupEngine, auts: list, pres: Presentation, triple: tuple
+) -> tuple[GroupEngine, dict[tuple[int, int], int]] | None:
+    """A, enumerated from the fitted presentation, and A's element index by
+    pair (images of x and y); None if the triple does not generate Aut(G).
+
+    The relators must hold at the triple on G's points, so A maps onto
+    <triple>; A must have order |Aut(G)|; distinct pairs along A's word
+    tree make the map one-to-one, and equal to the oracle's make it onto.
+    """
+    actions = [m for x in triple for m in (x, _perm_inverse(x))]
     try:
-        order = engines.todd_coxeter(pres, max_cosets=100 * cfg.aut_order).order()
+        engines._check_coset_table(pres, actions)
+    except AssertionError:
+        raise VerificationFailed("a fitted presentation relator does not hold") from None
+    try:  # HLT needs ~54|A| cosets at p = 5
+        engine = engines.todd_coxeter(pres, max_cosets=100 * cfg.aut_order)
     except engines.CosetLimitExceeded:
-        order = None
-    _require(order == cfg.aut_order, "the fitted presentation does not present Aut(G)")
-    return pres
+        engine = None
+    _require(
+        engine is not None and engine.order() == cfg.aut_order,
+        "the fitted presentation does not present Aut(G)",
+    )
+    parent, via, order, _ = engine._word_tree()
+    pairs = [tuple(g_engine._gen_indices)] * engine.order()
+    for i in order[1:]:  # step s from a parent with pair (u, v) gives (s[u], s[v])
+        (u, v), step = pairs[parent[i]], actions[via[i]]
+        pairs[i] = (step[u], step[v])
+    index = {pair: i for i, pair in enumerate(pairs)}
+    if len(index) < len(auts):
+        return None
+    _require(
+        sorted(index) == [aut.key() for aut in auts],
+        "fitted triple does not close to the oracle's automorphisms",
+    )
+    return engine, index
 
 
 def verify_center(cfg: CaseStudyConfig, context: LiftContext) -> tuple[Element, ...]:
@@ -281,13 +283,15 @@ def verify_center(cfg: CaseStudyConfig, context: LiftContext) -> tuple[Element, 
 def verify_inner(
     cfg: CaseStudyConfig,
     g_engine: GroupEngine,
-    a_engine: PermutationEngine,
+    a_engine: GroupEngine,
     params: AutParams,
     inner_maps: list[tuple[int, ...]],
+    a_index: dict[tuple[int, int], int],
 ) -> tuple[Element, ...]:
-    """Inn(G) as conjugations; asserts Inn(G) = <x1, x3^((p-1)p^(n-3))>, and
-    |Inn(G)| * |Z(G)| = |G| against a scan of G's centre."""
-    inner = tuple(sorted(a_engine.element_from_perm(m) for m in inner_maps))
+    """Inn(G) as conjugations, found in A by pair; asserts Inn(G) =
+    <x1, x3^((p-1)p^(n-3))>, and |Inn(G)| * |Z(G)| = |G| against a scan of G's centre."""
+    x, y = g_engine._gen_indices
+    inner = tuple(sorted(a_engine.element(a_index[m[x], m[y]]) for m in inner_maps))
     span = engines.subgroup_closure(
         a_engine,
         (params.x1, a_engine.power(params.x3, (cfg.p - 1) * cfg.p ** (cfg.n - 3))),
@@ -302,7 +306,7 @@ def verify_inner(
 
 def verify_commutator_structure(
     cfg: CaseStudyConfig,
-    a_engine: PermutationEngine,
+    a_engine: GroupEngine,
     params: AutParams,
     center: tuple[Element, ...],
     k_elems: set[Element],
@@ -341,7 +345,7 @@ def _central_spec(cfg: CaseStudyConfig) -> CentralSubgroupSpec:
 
 def _adjust_into_k(
     cfg: CaseStudyConfig,
-    a_engine: PermutationEngine,
+    a_engine: GroupEngine,
     params: AutParams,
     spec: QuotientAutSpec,
     k_elems: set[Element],
@@ -475,7 +479,8 @@ def noncharacteristic_witness(
 class CaseStudyResult:
     cfg: CaseStudyConfig
     g_engine: GroupEngine
-    a_engine: PermutationEngine
+    a_engine: GroupEngine
+    a_index: dict[tuple[int, int], int]  # A's element index by pair (images of x, y)
     params: AutParams
     pres_a: Presentation
     center: tuple[Element, ...]
@@ -522,7 +527,7 @@ def run_case_study(cfg: CaseStudyConfig) -> CaseStudyResult:
     pres_g = metacyclic_presentation(cfg)
     g_engine = build_group(cfg, pres_g)
     inner_maps = _inner_maps(g_engine)
-    a_engine, params, pres_a = build_aut_A(cfg, pres_g, g_engine, inner_maps)
+    a_engine, params, pres_a, a_index = build_aut_A(cfg, pres_g, g_engine, inner_maps)
     # LiftContext checks that z is central and |A/Z| * |Z| = |A|; a z that
     # is not central is a failed claim about A here, not bad input
     try:
@@ -530,7 +535,7 @@ def run_case_study(cfg: CaseStudyConfig) -> CaseStudyResult:
     except NotCentral as exc:
         raise VerificationFailed(f"Z(A): {exc}") from None
     center = verify_center(cfg, context)
-    inner = verify_inner(cfg, g_engine, a_engine, params, inner_maps)
+    inner = verify_inner(cfg, g_engine, a_engine, params, inner_maps, a_index)
     k_elems = set(engines.subgroup_closure(a_engine, (params.x1, params.x2)))
     verify_commutator_structure(cfg, a_engine, params, center, k_elems)
 
@@ -540,6 +545,7 @@ def run_case_study(cfg: CaseStudyConfig) -> CaseStudyResult:
         cfg=cfg,
         g_engine=g_engine,
         a_engine=a_engine,
+        a_index=a_index,
         params=params,
         pres_a=pres_a,
         center=center,

@@ -330,7 +330,7 @@ def test_permutation_engine_numbering_ignores_generators():
     perms = sorted(itertools.permutations(range(3)))
     for engine in (by_cycles, by_swaps):
         assert engine.order() == 6
-        assert [engine.element_from_perm(p).index for p in perms] == list(range(6))
+        assert engine._perms == perms
         for i, p in enumerate(perms):
             for j, q in enumerate(perms):
                 assert engine._mult_index(i, j) == perms.index(tuple(q[x] for x in p))

@@ -62,7 +62,7 @@ def test_fitted_parameters(case_study):
     # the fitted relators hold
     for rel in case_study.pres_a.relators:
         assert (
-            evaluate(rel, case_study.params.triple(), case_study.a_engine)
+            evaluate(rel, (params.x1, params.x2, params.x3), case_study.a_engine)
             == case_study.a_engine.identity()
         )
 
@@ -86,9 +86,13 @@ def test_inner_matches_conjugations(case_study):
     g = case_study.g_engine
     z_count = sum(1 for el in g.elements() if engines.is_central(g, el))
     assert len(case_study.inner) * z_count == g.order()
-    # conjugation by x is the fitted x1 (the search seeds it first)
+    # conjugation by x is the fitted x1 (the search seeds it first); A finds
+    # it by its pair, the images of x and y, which extend to the whole map
     conj_x = metacyclic._conjugation_map(g, g.generator(0))
-    assert case_study.a_engine.element_from_perm(conj_x) == case_study.params.x1
+    x, y = g._gen_indices
+    assert engines.map_images(g, [g.element(conj_x[x]), g.element(conj_x[y])]) == conj_x
+    x1 = case_study.a_engine.element(case_study.a_index[conj_x[x], conj_x[y]])
+    assert x1 == case_study.params.x1
 
 
 def reference_conjugation(g, i):
@@ -115,7 +119,10 @@ def test_inner_maps_are_the_conjugation_scan(p, n, budget):
 def test_conjugation_by_identity_is_identity(case_study):
     g = case_study.g_engine
     conj = metacyclic._conjugation_map(g, g.identity())
-    assert case_study.a_engine.element_from_perm(conj) == case_study.a_engine.identity()
+    assert conj == tuple(range(g.order()))
+    x, y = g._gen_indices
+    a = case_study.a_engine
+    assert a.element(case_study.a_index[conj[x], conj[y]]) == a.identity()
 
 
 def test_commutator_structure(case_study):
@@ -211,8 +218,8 @@ def test_result_dict_roundtrip(case_study):
 def test_case_study_builds_one_context(monkeypatch):
     # A/Z, its enumerated engine and M's Smith form are built once, by the one
     # LiftContext shared by the surjectivity check, the oracle and the witness;
-    # Aut(G) is one engine, closed from the fitted triple (the other
-    # permutation engine is Inn(G), of order p^2)
+    # Aut(G) is one engine, the enumeration of its fitted presentation, and
+    # the one permutation engine is Inn(G), of order p^2
     real_context, real_tc = metacyclic.LiftContext, engines.todd_coxeter
     real_perm_init = engines.PermutationEngine.__init__
     contexts, enumerated, perm_engines = [], [], []
@@ -223,7 +230,7 @@ def test_case_study_builds_one_context(monkeypatch):
 
     def counting_tc(*args, **kwargs):
         engine = real_tc(*args, **kwargs)
-        enumerated.append(engine.order())
+        enumerated.append(engine)
         return engine
 
     def counting_perm_init(self, *args):
@@ -236,8 +243,10 @@ def test_case_study_builds_one_context(monkeypatch):
     result = metacyclic.run_case_study(CaseStudyConfig(3, 4))
     assert result.quotient_order == 18
     assert len(contexts) == 1
-    assert enumerated == [81, 162, 18]  # G, A from its fitted presentation, A/Z once
-    assert perm_engines.count(result.a_engine.order()) == 1
+    # G, A from its fitted presentation, A/Z once
+    assert [engine.order() for engine in enumerated] == [81, 162, 18]
+    assert enumerated[1] is result.a_engine
+    assert perm_engines == [9]
 
 
 def test_case_study_scans_neither_a_nor_the_conjugations_of_g(monkeypatch):
@@ -369,12 +378,120 @@ def test_demo_checks_that_the_fitted_presentation_presents_a(
     )
 
 
+def triple_closure(g, a_engine, a_index):
+    """A reference for A: the permutation engine closed from the maps of G
+    that A's generators' pairs extend to."""
+    pair_of = {i: pair for pair, i in a_index.items()}
+    maps = []
+    for i in range(a_engine.ngens):
+        u, v = pair_of[a_engine.generator(i).index]
+        maps.append(engines.map_images(g, [g.element(u), g.element(v)]))
+    return engines.PermutationEngine(maps)
+
+
 def test_perm_order_matches_engine_order(case_study):
-    a = case_study.a_engine
+    g = case_study.g_engine
+    inn = engines.PermutationEngine(
+        [metacyclic._conjugation_map(g, g.generator(i)) for i in (0, 1)]
+    )
+    a = triple_closure(g, case_study.a_engine, case_study.a_index)
     s3 = engines.PermutationEngine([(1, 2, 0), (1, 0, 2)])
-    for engine in (a, s3):
+    assert (inn.order(), a.order()) == (9, 162)
+    for engine in (inn, a, s3):
         for el in engine.elements():
             assert metacyclic._perm_order(engine._perms[el.index]) == (
                 engines.element_order(engine, el)
             )
     assert sorted(metacyclic._perm_order(p) for p in s3._perms) == [1, 2, 2, 2, 3, 3]
+
+
+def fitted_aut_a(p, n, budget):
+    cfg = CaseStudyConfig(p, n, order_budget=budget)
+    pres_g = metacyclic_presentation(cfg)
+    g = metacyclic.build_group(cfg, pres_g)
+    built = metacyclic.build_aut_A(cfg, pres_g, g, metacyclic._inner_maps(g))
+    return pres_g, g, built
+
+
+@pytest.mark.parametrize(
+    "p,n,budget,ajk",
+    [(3, 4, 200, (2, 0, 2)), (3, 5, 500, (2, 0, 2)), (5, 4, 2500, (2, 0, 1))],
+)
+def test_search_runs_on_the_oracle_order_of_sorted_maps(p, n, budget, ajk):
+    # the search takes candidates in the oracle's order, sorted by generator
+    # images; with x and y at indices 1 and 2 that is the order of the maps
+    pres_g, g, (_, params, _, _) = fitted_aut_a(p, n, budget)
+    assert g._gen_indices == [1, 2]
+    auts = oracle.bf_automorphism_group(pres_g, g)
+    keys = [aut.key() for aut in auts]
+    assert keys == sorted(keys)
+    maps = [engines.map_images(g, aut.images) for aut in auts]
+    assert maps == sorted(maps)
+    assert (params.a, params.j, params.k) == ajk
+
+
+@pytest.mark.parametrize("p,n,budget", [(3, 4, 200), (3, 5, 500)])
+def test_aut_engine_matches_the_closure_of_the_triple(p, n, budget):
+    # A's pairs are the oracle's automorphisms, and pairing each element of
+    # the triple's permutation closure with A's element of the same pair is
+    # an isomorphism of Cayley graphs that keeps every shortest word
+    pres_g, g, (a, params, _, a_index) = fitted_aut_a(p, n, budget)
+    assert sorted(a_index) == [aut.key() for aut in oracle.bf_automorphism_group(pres_g, g)]
+    assert sorted(a_index.values()) == list(range(a.order()))
+    reference = triple_closure(g, a, a_index)
+    assert reference.order() == a.order() == len(a_index)
+    assert [a.generator(i) for i in range(3)] == [params.x1, params.x2, params.x3]
+    x, y = g._gen_indices
+    gen_maps = [reference._perms[reference.generator(i).index] for i in range(3)]
+
+    def in_a(perm):
+        return a_index[perm[x], perm[y]]
+
+    for el in reference.elements():
+        perm = reference._perms[el.index]
+        mine = a.element(in_a(perm))
+        assert engines.word_for_element(a, mine) == engines.word_for_element(reference, el)
+        for i, gen_map in enumerate(gen_maps):
+            product = a.multiply(mine, a.generator(i))
+            assert product.index == in_a(tuple(gen_map[q] for q in perm))
+
+
+def doctored_oracle(monkeypatch):
+    # the identity in place of the oracle's last automorphism of G
+    real = oracle.bf_automorphism_group
+
+    def doctored(pres, engine, *args, **kwargs):
+        auts = real(pres, engine, *args, **kwargs)
+        return auts[:-1] + auts[:1] if pres.names == ("x", "y") else auts
+
+    monkeypatch.setattr(oracle, "bf_automorphism_group", doctored)
+
+
+def false_relator(monkeypatch):
+    # x1 for x1^p: x1 is not the identity
+    real = metacyclic.aut_presentation
+
+    def with_x1(*args):
+        relators = (FreeWord(((0, 1),)),) + real(*args).relators[1:]
+        return Presentation(("x1", "x2", "x3"), relators)
+
+    monkeypatch.setattr(metacyclic, "aut_presentation", with_x1)
+
+
+@pytest.mark.parametrize(
+    "doctor,message",
+    [
+        (doctored_oracle, "fitted triple does not close to the oracle's automorphisms"),
+        (false_relator, "a fitted presentation relator does not hold"),
+    ],
+    ids=["oracle", "relator"],
+)
+def test_demo_ties_a_to_the_oracle_through_the_triple(doctor, message, monkeypatch, capsys):
+    doctor(monkeypatch)
+    with pytest.raises(metacyclic.VerificationFailed) as failed:
+        metacyclic.run_case_study(CaseStudyConfig(3, 4))
+    assert str(failed.value) == message
+    assert cli.main(["demo", "--p", "3", "--n", "4"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal error: VerificationFailed: {message}\n"
