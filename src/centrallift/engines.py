@@ -5,11 +5,12 @@ opaque Element handles (engine + index) and stores only the action of
 each generator and its inverse on the indices.  Column j of the Cayley
 table (i -> i*j) is built on first use from the column of j's parent in
 the BFS word tree, so hot loops that multiply by a few fixed elements
-build only their columns.  Engines come from todd_coxeter (the regular
-action on the coset table of a presentation: G, G/N and Aut(G)) and
-PermutationEngine (a small permutation group closed from its
-generators, as sorted permutations).  Lazy caches only ever add
-columns, inverses and powers, so concurrent readers are safe.
+build only their columns.  _walk_tree extends maps down that tree
+(map_images; centralizer, which reads no column).  Engines come from
+todd_coxeter (the regular action on the coset table of a presentation:
+G, G/N and Aut(G)) and PermutationEngine (a small permutation group
+closed from its generators, as sorted permutations).  Lazy caches only
+ever add columns, inverses and powers, so concurrent readers are safe.
 """
 
 from __future__ import annotations
@@ -484,19 +485,20 @@ def element_order(engine: GroupEngine, h: Element) -> int:
     return k
 
 
-def is_central(engine: GroupEngine, h: Element) -> bool:
-    """True iff h commutes with every generator."""
-    hi = engine.check(h)
-    for g in range(engine.ngens):
-        gi = engine._gen_indices[g]
-        if engine._mult_index(hi, gi) != engine._mult_index(gi, hi):
-            return False
-    return True
+def centralizer(engine: GroupEngine, gens: Iterable[int]) -> tuple[Element, ...]:
+    """The elements commuting with x_g for each g in gens, sorted by index:
+    x_g's left-multiplication row (h -> x_g*h), walked down the word tree
+    from x_g, must equal steps[2g][h] (h*x_g).  No Cayley column is read."""
+    steps, found = engine._steps, range(engine.order())
+    for g in gens:
+        row, right = _walk_tree(engine, steps, engine._gen_indices[g]), steps[2 * g]
+        found = [h for h in found if row[h] == right[h]]
+    return tuple(Element(engine, h) for h in found)
 
 
 def center(engine: GroupEngine) -> tuple[Element, ...]:
     """Z(G): the elements that commute with every generator, sorted by index."""
-    return tuple(el for el in engine.elements() if is_central(engine, el))
+    return centralizer(engine, range(engine.ngens))
 
 
 def central_log_table(
@@ -538,6 +540,17 @@ def word_for_element(engine: GroupEngine, h: Element) -> FreeWord:
     return reduce_word(raw)
 
 
+def _walk_tree(engine: GroupEngine, steps: Sequence[Sequence[int]], start: int) -> list[int]:
+    """out[0] = start and out[i] = steps[via[i]][out[parent[i]]] along the
+    engine's word tree, in BFS order: the image of each element under the
+    map that sends the identity to start and each step s to steps[s]."""
+    parent, via, order, _ = engine._word_tree()
+    out = [start] * engine.order()
+    for i in order[1:]:
+        out[i] = steps[via[i]][out[parent[i]]]
+    return out
+
+
 def map_images(engine: GroupEngine, images: Sequence[Element]) -> tuple[int, ...]:
     """Extend generator images to the whole engine along its BFS tree.
 
@@ -548,12 +561,8 @@ def map_images(engine: GroupEngine, images: Sequence[Element]) -> tuple[int, ...
     """
     target = images[0].engine
     img_idx = [target.check(im) for im in images]
-    parent, via, order, used = engine._word_tree()
     columns: list[list[int] | None] = [None] * (2 * len(img_idx))
-    for s in used:
+    for s in engine._word_tree()[3]:
         im = img_idx[s >> 1]
         columns[s] = target._column(target._inv_index(im) if s & 1 else im)
-    out = [0] * engine.order()
-    for idx in order[1:]:
-        out[idx] = columns[via[idx]][out[parent[idx]]]
-    return tuple(out)
+    return tuple(_walk_tree(engine, columns, 0))

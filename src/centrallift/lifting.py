@@ -70,6 +70,13 @@ class Endomorphism:
     def key(self) -> tuple[int, ...]:
         return self._key
 
+    def words(self, names: tuple[str, ...]) -> list[str]:
+        """The images as shortest words in the generators `names`."""
+        return [
+            format_word(engines.word_for_element(self._engine, im), names)
+            for im in self.images
+        ]
+
     def __eq__(self, other):
         return (
             isinstance(other, Endomorphism)
@@ -111,7 +118,7 @@ class LiftContext:
         self.central = central
         self.z_elements = tuple(evaluate(w, gens, engine) for w in central.z_words)
         for i, (word, z) in enumerate(zip(central.z_words, self.z_elements)):
-            if not engines.is_central(engine, z):
+            if any(engine.multiply(z, x) != engine.multiply(x, z) for x in gens):
                 raise NotCentral(
                     i, f"central word {format_word(word, pres.names)!r} is not central"
                 )
@@ -470,12 +477,6 @@ def report_to_dict(problem: LiftProblem, report: LiftReport) -> dict:
     """
     context, names = problem.context, problem.pres.names
 
-    def endo_words(endo: Endomorphism) -> list[str]:
-        return [
-            format_word(engines.word_for_element(problem.engine, im), names)
-            for im in endo.images
-        ]
-
     def solset(s: SolutionSet) -> dict:
         return {
             "solvable": s.solvable,
@@ -512,7 +513,7 @@ def report_to_dict(problem: LiftProblem, report: LiftReport) -> dict:
         "lifts": [
             {
                 "v": [modlinalg.vector_to_strings(b) for b in lift.v_blocks],
-                "images": endo_words(lift.endo),
+                "images": lift.endo.words(names),
                 "automorphic": lift.automorphic,
             }
             for lift in report.lifts

@@ -127,7 +127,12 @@ class AutParams:
 
 
 def build_group(cfg: CaseStudyConfig, pres: Presentation) -> GroupEngine:
-    engine = engines.todd_coxeter(pres, max_cosets=50 * cfg.group_order)
+    limit = 50 * cfg.group_order
+    try:
+        engine = engines.todd_coxeter(pres, max_cosets=limit)
+    except engines.CosetLimitExceeded:
+        what = f"G of order p^n = {cfg.p}^{cfg.n} = {cfg.group_order}: its enumeration"
+        raise engines.CosetLimitExceeded(f"{what} passed 50*|G| = {limit} cosets") from None
     _require(engine.order() == cfg.group_order, "group order mismatch")
     return engine
 
@@ -246,20 +251,19 @@ def _verify_params(
         engines._check_coset_table(pres, actions)
     except AssertionError:
         raise VerificationFailed("a fitted presentation relator does not hold") from None
+    limit, order = 100 * cfg.aut_order, cfg.aut_order
     try:  # HLT needs ~54|A| cosets at p = 5
-        engine = engines.todd_coxeter(pres, max_cosets=100 * cfg.aut_order)
+        engine = engines.todd_coxeter(pres, max_cosets=limit)
+        cause = f"it presents a group of order {engine.order()}, not |Aut(G)| = {order}"
     except engines.CosetLimitExceeded:
-        engine = None
+        engine, cause = None, f"its enumeration passed 100*|A| = {limit} cosets"
     _require(
-        engine is not None and engine.order() == cfg.aut_order,
-        "the fitted presentation does not present Aut(G)",
+        engine is not None and engine.order() == order,
+        f"the fitted presentation does not present Aut(G): {cause}",
     )
-    parent, via, order, _ = engine._word_tree()
-    pairs = [tuple(g_engine._gen_indices)] * engine.order()
-    for i in order[1:]:  # step s from a parent with pair (u, v) gives (s[u], s[v])
-        (u, v), step = pairs[parent[i]], actions[via[i]]
-        pairs[i] = (step[u], step[v])
-    index = {pair: i for i, pair in enumerate(pairs)}
+    # the triple's actions on G's points carry x and y along A's word tree
+    x, y = (engines._walk_tree(engine, actions, g) for g in g_engine._gen_indices)
+    index = {pair: i for i, pair in enumerate(zip(x, y))}
     if len(index) < len(auts):
         return None
     _require(
@@ -288,8 +292,8 @@ def verify_inner(
     inner_maps: list[tuple[int, ...]],
     a_index: dict[tuple[int, int], int],
 ) -> tuple[Element, ...]:
-    """Inn(G) as conjugations, found in A by pair; asserts Inn(G) =
-    <x1, x3^((p-1)p^(n-3))>, and |Inn(G)| * |Z(G)| = |G| against a scan of G's centre."""
+    """Inn(G) as conjugations, found in A by pair; asserts Inn(G) = <x1,
+    x3^((p-1)p^(n-3))>, and |Inn(G)| * |Z(G)| = |G| by G's centralizer rows."""
     x, y = g_engine._gen_indices
     inner = tuple(sorted(a_engine.element(a_index[m[x], m[y]]) for m in inner_maps))
     span = engines.subgroup_closure(
@@ -313,16 +317,10 @@ def verify_commutator_structure(
 ) -> None:
     """K = <x1,x2> facts: Z(K) = Z cap K and K cap Z = <[x1,x2]> = <z^(p^(n-3))>.
 
-    An element of K is central in K iff it commutes with x1 and x2.
+    An element of K is central in K iff it commutes with A's generators x1, x2.
     """
-    center_set = set(center)
-    z_cap_k = {el for el in k_elems if el in center_set}
-    gens = (params.x1, params.x2)
-    z_of_k = {
-        el
-        for el in k_elems
-        if all(a_engine.multiply(el, g) == a_engine.multiply(g, el) for g in gens)
-    }
+    z_cap_k = k_elems.intersection(center)
+    z_of_k = k_elems.intersection(engines.centralizer(a_engine, (0, 1)))
     _require(z_of_k == z_cap_k, "Z(K) != Z cap K")
     comm = a_engine.multiply(
         a_engine.multiply(a_engine.inverse(params.x1), a_engine.inverse(params.x2)),
@@ -514,10 +512,7 @@ class CaseStudyResult:
             "witness_phi": [
                 format_word(w, names) for w in self.witness.phi.rep_words
             ],
-            "witness_psi": [
-                format_word(engines.word_for_element(self.a_engine, im), names)
-                for im in self.witness.psi.images
-            ],
+            "witness_psi": self.witness.psi.words(names),
             "inner_not_characteristic": True,  # noncharacteristic_witness requires it
         }
 

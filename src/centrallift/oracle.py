@@ -20,7 +20,7 @@ from . import engines, lifting
 from .engines import Element, GroupEngine
 from .lifting import Endomorphism, LiftContext, LiftProblem
 from .presentation import Presentation, QuotientAutSpec
-from .words import evaluate_indices, format_word
+from .words import evaluate_indices
 
 
 class BudgetExceeded(RuntimeError):
@@ -227,16 +227,10 @@ def compare(problem: LiftProblem, budget: int = DEFAULT_LIFT_BUDGET) -> Comparis
         diff = mine.symmetric_difference(theirs)
         if diff:
             endo = min(diff, key=lambda e: e.key())
-            names = problem.pres.names
             counterexample = {
                 "kind": kind,
                 "side": "solver_only" if endo in mine else "oracle_only",
-                "images": [
-                    format_word(
-                        engines.word_for_element(problem.engine, im), names
-                    )
-                    for im in endo.images
-                ],
+                "images": endo.words(problem.pres.names),
             }
             break
     report = ComparisonReport(

@@ -14,17 +14,10 @@ from centrallift import cli, engines
 from centrallift.engines import CosetLimitExceeded, _check_coset_table, todd_coxeter
 from centrallift.metacyclic import CaseStudyConfig, metacyclic_presentation
 from centrallift.presentation import parse_presentation, parse_presentation_file
-from test_engines import TC_CASES
+from test_engines import TC_CASES, heisenberg
 
 # as in test_properties: no hypothesis cache files under the working tree
 configuration.set_hypothesis_home_dir(os.devnull)
-
-
-def heisenberg(p):
-    return parse_presentation(
-        f"generators: x y z\nrelator: x^{p}\nrelator: y^{p}\nrelator: z^{p}\n"
-        "relator: x^-1*y^-1*x*y*z^-1\nrelator: x^-1*z^-1*x*z\nrelator: y^-1*z^-1*y*z\n"
-    )
 
 
 def metacyclic(p, n):

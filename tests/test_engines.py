@@ -11,15 +11,15 @@ from centrallift.engines import (
     PermutationEngine,
     center,
     central_log_table,
+    centralizer,
     element_order,
     generates,
-    is_central,
     subgroup_closure,
     todd_coxeter,
     word_for_element,
 )
 from centrallift.lifting import LiftContext
-from centrallift.presentation import parse_presentation, parse_presentation_file
+from centrallift.presentation import Presentation, parse_presentation, parse_presentation_file
 
 
 TC_CASES = [
@@ -151,22 +151,58 @@ def test_element_order():
     assert element_order(c4, c4.generator(0)) == 4
 
 
-def test_is_central():
-    _, _, c4, _ = corpus.build(corpus.C4)
-    assert is_central(c4, c4.identity())
-    assert is_central(c4, c4.power(c4.generator(0), 2))
-    _, _, meta, _ = corpus.build(corpus.METACYCLIC34)
-    assert not is_central(meta, meta.generator(1))
-    # center against the all-pairs definition
-    _, _, heis, _ = corpus.build(corpus.HEISENBERG)
-    for engine in (c4, meta, heis):
-        els = engine.elements()
-        expected = tuple(
-            h for h in els
-            if all(engine.multiply(h, g) == engine.multiply(g, h) for g in els)
-        )
-        assert center(engine) == expected
-    assert (len(center(c4)), len(center(meta)), len(center(heis))) == (4, 9, 3)
+def heisenberg(p):
+    return parse_presentation(
+        f"generators: x y z\nrelator: x^{p}\nrelator: y^{p}\nrelator: z^{p}\n"
+        "relator: x^-1*y^-1*x*y*z^-1\nrelator: x^-1*z^-1*x*z\nrelator: y^-1*z^-1*y*z\n"
+    )
+
+
+def a_mod_z_presentation(case_study):
+    """A/Z of the case study, presented as LiftContext presents it."""
+    pres = case_study.pres_a
+    z_words = metacyclic._central_spec(case_study.cfg).z_words
+    return Presentation(pres.names, z_words + pres.relators)
+
+
+def assert_centralizers_match_all_pairs(engine):
+    # the centralizer of every set of generators against the elements that
+    # commute with every element of the subgroup those generators generate
+    els = engine.elements()
+    for size in range(engine.ngens + 1):
+        for gens in itertools.combinations(range(engine.ngens), size):
+            sub = subgroup_closure(engine, [engine.generator(g) for g in gens])
+            expected = tuple(
+                h for h in els
+                if all(engine.multiply(h, g) == engine.multiply(g, h) for g in sub)
+            )
+            assert centralizer(engine, gens) == expected
+    assert center(engine) == centralizer(engine, range(engine.ngens))
+
+
+def test_centralizer_matches_the_all_pairs_definition(case_study):
+    corpus_engines = [corpus.build(text)[2] for _, text in corpus.CORPUS]
+    heis = [todd_coxeter(heisenberg(p), max_cosets=20000) for p in (3, 5, 7)]
+    a_mod_z = todd_coxeter(a_mod_z_presentation(case_study))
+    case = [case_study.g_engine, case_study.a_engine, a_mod_z]
+    for engine in corpus_engines + heis + case:
+        assert_centralizers_match_all_pairs(engine)
+    assert [len(center(e)) for e in corpus_engines] == [4, 6, 6, 2, 3, 16, 16, 9, 8]
+    assert [len(center(e)) for e in heis + case] == [3, 5, 7, 9, 9, 1]
+
+
+def test_centre_scans_read_no_column(case_study):
+    # a fresh engine has only the identity's column; the centre and the
+    # generators' centralizers walk left-multiplication rows instead
+    cfg = case_study.cfg
+    g = todd_coxeter(metacyclic.metacyclic_presentation(cfg))
+    a_mod_z = todd_coxeter(a_mod_z_presentation(case_study))
+    for engine in (g, a_mod_z):
+        assert sum(col is not None for col in engine._columns) == 1
+        center(engine)
+        for gen in range(engine.ngens):
+            centralizer(engine, (gen,))
+        assert sum(col is not None for col in engine._columns) == 1
 
 
 def test_central_log():

@@ -84,7 +84,10 @@ def test_quotient_is_order_18_with_trivial_center(case_study):
 def test_inner_matches_conjugations(case_study):
     # |Inn(G)| = |G| / |Z(G)|
     g = case_study.g_engine
-    z_count = sum(1 for el in g.elements() if engines.is_central(g, el))
+    gens = (g.generator(0), g.generator(1))
+    z_count = sum(
+        1 for el in g.elements() if all(g.multiply(el, x) == g.multiply(x, el) for x in gens)
+    )
     assert len(case_study.inner) * z_count == g.order()
     # conjugation by x is the fitted x1 (the search seeds it first); A finds
     # it by its pair, the images of x and y, which extend to the whole map
@@ -372,10 +375,40 @@ def test_demo_checks_that_the_fitted_presentation_presents_a(
     with pytest.raises(metacyclic.VerificationFailed, match="does not present Aut"):
         metacyclic.run_case_study(CaseStudyConfig(3, 4))
     assert cli.main(["demo", "--p", "3", "--n", "4"]) == 4
+    cause = {
+        "x1^(p^2)": "it presents a group of order 486, not |Aut(G)| = 162",
+        "no commutator relator": "its enumeration passed 100*|A| = 16200 cosets",
+    }[weakening]
     assert capsys.readouterr().err == (
         "internal error: VerificationFailed: "
-        "the fitted presentation does not present Aut(G)\n"
+        f"the fitted presentation does not present Aut(G): {cause}\n"
     )
+
+
+def test_demo_names_g_when_its_enumeration_passes_the_coset_limit(capsys):
+    # HLT needs ~75|G| cosets for G at (5,5): the 50|G| limit refuses it as
+    # input (exit 1), naming G, its order and the limit
+    argv = ["demo", "--p", "5", "--n", "5", "--order-budget", "12500"]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: G of order p^n = 5^5 = 3125: its enumeration passed "
+        "50*|G| = 156250 cosets\n"
+    )
+
+
+@pytest.mark.parametrize("n,budget", [(4, 200), (5, 500)])
+def test_z_of_k_from_the_centralizer_is_the_all_pairs_centre_of_k(n, budget):
+    result = metacyclic.run_case_study(CaseStudyConfig(3, n, order_budget=budget))
+    a, x1, x2 = result.a_engine, result.params.x1, result.params.x2
+    assert (x1, x2) == (a.generator(0), a.generator(1))
+    k_elems = set(engines.subgroup_closure(a, (x1, x2)))
+    z_of_k = {
+        el for el in k_elems if all(a.multiply(el, k) == a.multiply(k, el) for k in k_elems)
+    }
+    assert k_elems.intersection(engines.centralizer(a, (0, 1))) == z_of_k
+    assert z_of_k == k_elems.intersection(result.center)
 
 
 def triple_closure(g, a_engine, a_index):
