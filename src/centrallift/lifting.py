@@ -20,7 +20,7 @@ from math import prod
 
 from . import engines, modlinalg
 from .engines import Element, GroupEngine
-from .modlinalg import IntMatrix, SmithDecomposition, SolutionSet
+from .modlinalg import IntMatrix, SolutionSet, SolvePlan
 from .presentation import (
     CentralSubgroupSpec,
     NotCentral,
@@ -100,9 +100,10 @@ class LiftContext:
     independent (|N| equals the product of their orders, which makes the
     per-block correspondence one-to-one).  Holds N, the presentation and
     engine of G/N, the projection G -> G/N on element indices, the central
-    log table, and the exponent matrix M with its Smith decomposition; the
-    automorphic targets' extended matrix is built on first use.  Each phi
-    then costs only its own check and right-hand sides (problem).
+    log table, and the exponent matrix M with its Smith decomposition and
+    one solve plan per z-order; the automorphic targets' extended matrix is
+    built on first use.  Each phi then costs only its own check and
+    right-hand sides (problem).
     """
 
     def __init__(
@@ -149,6 +150,7 @@ class LiftContext:
         )
         self.matrix = build_exponent_matrix(pres)
         self.smith = modlinalg.smith(self.matrix)
+        self.plans = _plans(self.smith, self.z_orders)
 
     def problem(self, phi: QuotientAutSpec) -> "LiftProblem":
         """The lift instance for one automorphism phi of G/N."""
@@ -189,10 +191,7 @@ class LiftContext:
                 if engines.subgroup_closure(engine, tup) != self.n_elements:
                     continue
                 logs = [self.log_table[el.index] for el in tup]
-                label = "images=" + ",".join(
-                    format_word(engines.word_for_element(engine, el), self.pres.names)
-                    for el in tup
-                )
+                label = "images=" + ",".join(Endomorphism(tup).words(self.pres.names))
                 shifts = tuple(tuple(lg[j] for lg in logs) for j in range(len(orders)))
                 targets.append((label, shifts))
         extended = self.matrix.stack_rows(
@@ -201,19 +200,26 @@ class LiftContext:
                 for w in self.central.z_words
             ]
         )
-        return AutSystem(extended, modlinalg.smith(extended), scale, tuple(targets))
+        plans = _plans(modlinalg.smith(extended), orders)
+        return AutSystem(extended, plans, scale, tuple(targets))
+
+
+def _plans(dec, moduli) -> tuple[SolvePlan, ...]:
+    """One solve plan per modulus, built once per distinct modulus."""
+    plans = {o: SolvePlan(dec, o) for o in dict.fromkeys(moduli)}
+    return tuple(plans[o] for o in moduli)
 
 
 @dataclass(frozen=True)
 class AutSystem:
-    """M with one row per z-word appended (times `scale`), its Smith
-    decomposition, and the automorphic targets as (label, shifts): block j
+    """M with one row per z-word appended (times `scale`), its solve plan
+    per z-order, and the automorphic targets as (label, shifts): block j
     of a target's right-hand side is w_j followed, for each z-word i, by
     scale * (u[i][j] + shifts[j][i]) mod o_j, where f_i(xbar) =
     prod_j z_j^(-u[i][j])."""
 
     matrix: IntMatrix
-    smith: SmithDecomposition
+    plans: tuple[SolvePlan, ...]
     scale: int
     targets: tuple[tuple[str, tuple[tuple[int, ...], ...]], ...]
 
@@ -260,9 +266,10 @@ class LiftProblem:
             raise ValueError("need exactly one representative word per generator")
         gens = [engine.generator(i) for i in range(pres.n)]
         xbar = tuple(evaluate(w, gens, engine) for w in phi.rep_words)
+        indices = [x.index for x in xbar]
 
         def residue(word: FreeWord, index: int | None) -> tuple[int, ...]:
-            exps = context.log_table.get(evaluate(word, xbar, engine).index)
+            exps = context.log_table.get(evaluate_indices(word, indices, engine))
             if exps is None:
                 raise NotHomomorphism(index)
             return tuple((-e) % o for e, o in zip(exps, context.z_orders))
@@ -289,12 +296,10 @@ class LiftTarget:
     count: int
 
     @classmethod
-    def solve(cls, label: str, dec: SmithDecomposition, rhs_blocks, moduli) -> "LiftTarget":
-        """Solve block j, M * v = rhs_blocks[j] mod moduli[j], where
-        dec = smith(M); the count is the product of the block counts."""
-        sets = tuple(
-            modlinalg.solve(dec, rhs, modulus) for rhs, modulus in zip(rhs_blocks, moduli)
-        )
+    def solve(cls, label: str, plans, rhs_blocks) -> "LiftTarget":
+        """Solve block j, M * v = rhs_blocks[j] with plans[j], a solve plan
+        of M; the count is the product of the block counts."""
+        sets = tuple(plan.solve(rhs) for plan, rhs in zip(plans, rhs_blocks))
         return cls(label, rhs_blocks, sets, prod(s.count for s in sets))
 
 
@@ -368,8 +373,12 @@ def _enumerate_block_solutions(target: LiftTarget):
 
 def _hom_target(problem: LiftProblem) -> LiftTarget:
     """M * v = w mod o_j, one block per z-generator."""
-    context = problem.context
-    return LiftTarget.solve("hom", context.smith, problem.residues, context.z_orders)
+    return LiftTarget.solve("hom", problem.context.plans, problem.residues)
+
+
+def _count(plans, rhs_blocks) -> int:
+    """The product of the block counts, with no solution set built."""
+    return prod(plan.count(rhs) for plan, rhs in zip(plans, rhs_blocks))
 
 
 def solve_hom_lifts(problem: LiftProblem) -> LiftReport:
@@ -384,36 +393,42 @@ def solve_hom_lifts(problem: LiftProblem) -> LiftReport:
     return LiftReport("homomorphic", (target,), tuple(lifts))
 
 
-def _aut_targets(problem: LiftProblem) -> tuple[LiftTarget, ...]:
-    """Each target of the context's aut_system, solved against the
-    extended matrix, with the right-hand sides AutSystem describes."""
+def _aut_rhs(problem: LiftProblem):
+    """(label, right-hand side blocks) of each target of the context's
+    aut_system, as AutSystem describes them."""
     system = problem.context.aut_system
     orders = problem.z_orders
     t = len(orders)
     w, u = problem.residues, problem.z_residues
-
-    def rhs_blocks(shifts):
-        return tuple(
+    for label, shifts in system.targets:
+        yield label, tuple(
             w[j] + tuple(system.scale * (u[i][j] + shifts[j][i]) % orders[j] for i in range(t))
             for j in range(t)
         )
 
+
+def _aut_targets(problem: LiftProblem) -> tuple[LiftTarget, ...]:
+    """Each target of the context's aut_system, solved against the
+    extended matrix."""
+    plans = problem.context.aut_system.plans
     return tuple(
-        LiftTarget.solve(label, system.smith, rhs_blocks(shifts), orders)
-        for label, shifts in system.targets
+        LiftTarget.solve(label, plans, rhs_blocks) for label, rhs_blocks in _aut_rhs(problem)
     )
 
 
 def count_lifts(problem: LiftProblem) -> tuple[int, int]:
-    """(homomorphic, automorphic) lift counts of phi, read off the Smith
-    forms; nothing is materialized.
+    """(homomorphic, automorphic) lift counts of phi, read off the solve
+    plans of M and of the extended matrix; no solution set is built and
+    nothing is materialized.
 
     The extended matrix is M with rows appended and w on top, so every aut
     target's solutions are hom solutions; each target fixes a different
     image of the z-generators, so the targets are disjoint.  Equal counts
     mean that every homomorphic lift is automorphic.
     """
-    return _hom_target(problem).count, sum(t.count for t in _aut_targets(problem))
+    hom = _count(problem.context.plans, problem.residues)
+    plans = problem.context.aut_system.plans
+    return hom, sum(_count(plans, rhs_blocks) for _, rhs_blocks in _aut_rhs(problem))
 
 
 def solve_aut_lifts(problem: LiftProblem, hom: LiftReport) -> LiftReport:
@@ -460,12 +475,12 @@ def solve_aut_lifts(problem: LiftProblem, hom: LiftReport) -> LiftReport:
 def squarefree_existence(problem: LiftProblem) -> bool:
     """For squarefree #N: a homomorphic lift exists iff an automorphic one does.
 
-    Only the hom target is solved; nothing is materialized.
+    Only the hom target is counted; nothing is materialized.
     """
     n_order = problem.context.n_order
     if any(e > 1 for e in modlinalg.factorize(n_order).values()):
         raise NotSquarefree(f"#N = {n_order} is not squarefree")
-    return _hom_target(problem).count > 0
+    return _count(problem.context.plans, problem.residues) > 0
 
 
 def report_to_dict(problem: LiftProblem, report: LiftReport) -> dict:

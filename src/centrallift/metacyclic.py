@@ -194,6 +194,7 @@ def build_aut_A(
     x1_candidates = [m for m in inner_maps if _perm_order(m) == p]
     roots_small = set(modlinalg.primitive_roots(p ** (n - 2)))
     roots_big = set(modlinalg.primitive_roots(p ** (n - 1)))
+    enumerated: dict[Presentation, GroupEngine] = {}  # one per (a, j, k)
 
     def with_exponents(candidates, exp: int, x3, step):
         # (x, e) for each x with x3^-1 x x3 * step^e == x^exp, e in [0, p)
@@ -225,7 +226,9 @@ def build_aut_A(
                     if comm != step:
                         continue
                     pres = aut_presentation(p, n, a, a_inv, jj, kk)
-                    fitted = _verify_params(cfg, g_engine, auts, pres, (x1, x2, x3))
+                    fitted = _verify_params(
+                        cfg, g_engine, auts, pres, (x1, x2, x3), enumerated
+                    )
                     if fitted is None:
                         continue
                     engine, index = fitted
@@ -237,7 +240,12 @@ def build_aut_A(
 
 
 def _verify_params(
-    cfg: CaseStudyConfig, g_engine: GroupEngine, auts: list, pres: Presentation, triple: tuple
+    cfg: CaseStudyConfig,
+    g_engine: GroupEngine,
+    auts: list,
+    pres: Presentation,
+    triple: tuple,
+    enumerated: dict[Presentation, GroupEngine],
 ) -> tuple[GroupEngine, dict[tuple[int, int], int]] | None:
     """A, enumerated from the fitted presentation, and A's element index by
     pair (images of x and y); None if the triple does not generate Aut(G).
@@ -245,22 +253,27 @@ def _verify_params(
     The relators must hold at the triple on G's points, so A maps onto
     <triple>; A must have order |Aut(G)|; distinct pairs along A's word
     tree make the map one-to-one, and equal to the oracle's make it onto.
+    The enumeration depends only on the presentation, that is on (a, j, k),
+    not on the triple: it is made once per presentation, in `enumerated`.
     """
     actions = [m for x in triple for m in (x, _perm_inverse(x))]
     try:
         engines._check_coset_table(pres, actions)
     except AssertionError:
         raise VerificationFailed("a fitted presentation relator does not hold") from None
-    limit, order = 100 * cfg.aut_order, cfg.aut_order
-    try:  # HLT needs ~54|A| cosets at p = 5
-        engine = engines.todd_coxeter(pres, max_cosets=limit)
-        cause = f"it presents a group of order {engine.order()}, not |Aut(G)| = {order}"
-    except engines.CosetLimitExceeded:
-        engine, cause = None, f"its enumeration passed 100*|A| = {limit} cosets"
-    _require(
-        engine is not None and engine.order() == order,
-        f"the fitted presentation does not present Aut(G): {cause}",
-    )
+    engine = enumerated.get(pres)
+    if engine is None:
+        limit, order = 100 * cfg.aut_order, cfg.aut_order
+        try:  # HLT needs ~54|A| cosets at p = 5
+            engine = engines.todd_coxeter(pres, max_cosets=limit)
+            cause = f"it presents a group of order {engine.order()}, not |Aut(G)| = {order}"
+        except engines.CosetLimitExceeded:
+            engine, cause = None, f"its enumeration passed 100*|A| = {limit} cosets"
+        _require(
+            engine is not None and engine.order() == order,
+            f"the fitted presentation does not present Aut(G): {cause}",
+        )
+        enumerated[pres] = engine
     # the triple's actions on G's points carry x and y along A's word tree
     x, y = (engines._walk_tree(engine, actions, g) for g in g_engine._gen_indices)
     index = {pair: i for i, pair in enumerate(zip(x, y))}

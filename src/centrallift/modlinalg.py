@@ -204,47 +204,78 @@ def smith(matrix: IntMatrix) -> SmithDecomposition:
     )
 
 
-def _unsolvable(cols: int, modulus: int) -> SolutionSet:
-    return SolutionSet(False, (0,) * cols, (), 0, modulus)
+class SolvePlan:
+    """The half of solving M*v = rhs (mod modulus) that does not depend on
+    rhs, built once from dec = smith(M); count and solve then answer each
+    right-hand side.
+
+    With c = U*rhs the system is D*y = c, v = V*y.  Row i of D with
+    diagonal entry d is solvable iff g = gcd(d, modulus) divides c[i]
+    (every row past the rank has d = 0, so g = modulus); a row with g = 1
+    always is, so only the other rows of U are kept, as checks.  The
+    count, the pivot inverses and the kernel basis do not depend on rhs.
+    """
+
+    def __init__(self, dec: SmithDecomposition, modulus: int):
+        if modulus < 1:
+            raise ValueError("modulus must be positive")
+        rows, cols = dec.D.rows, dec.D.cols
+        self.rows, self.cols, self.modulus, self._V = rows, cols, modulus, dec.V
+        checks = []  # (row of U, divisor of its dot product with rhs)
+        pivots = []  # (i, row i of U, g, inverse of d/g mod m/g, m/g) when m/g > 1
+        steps = []  # (column of V, step, period): pivot columns, then free ones
+        count = 1
+        for i in range(rows):
+            d = dec.D.get(i, i) if i < dec.rank else 0
+            g = gcd(d, modulus)
+            if g > 1:
+                checks.append((dec.U.row(i), g))
+            if i >= dec.rank:
+                continue
+            mg = modulus // g
+            if mg > 1:
+                pivots.append((i, dec.U.row(i), g, pow((d // g) % mg, -1, mg), mg))
+            if g > 1:
+                steps.append((i, mg, g))
+                count *= g
+        if modulus > 1:
+            steps.extend((j, 1, modulus) for j in range(dec.rank, cols))
+            count *= modulus ** (cols - dec.rank)
+        self._checks, self._pivots, self._count = tuple(checks), tuple(pivots), count
+        self.kernel_basis = tuple(
+            (tuple(step * dec.V.get(r, col) % modulus for r in range(cols)), period)
+            for col, step, period in steps
+        )
+
+    def _check_length(self, rhs: Sequence[int]) -> None:
+        if len(rhs) != self.rows:
+            raise ValueError("right-hand side length must match the row count")
+
+    def count(self, rhs: Sequence[int]) -> int:
+        """The number of solutions mod modulus: one dot product per check."""
+        self._check_length(rhs)
+        mul = operator.mul
+        for row, g in self._checks:
+            if sum(map(mul, row, rhs)) % g:
+                return 0
+        return self._count
+
+    def solve(self, rhs: Sequence[int]) -> SolutionSet:
+        """Complete description of {v : M*v = rhs (mod modulus)}."""
+        modulus, cols = self.modulus, self.cols
+        if not self.count(rhs):
+            return SolutionSet(False, (0,) * cols, (), 0, modulus)
+        y = [0] * cols
+        for i, row, g, inverse, mg in self._pivots:
+            y[i] = (sum(map(operator.mul, row, rhs)) // g * inverse) % mg
+        particular = tuple(x % modulus for x in self._V.mulvec(y))
+        return SolutionSet(True, particular, self.kernel_basis, self._count, modulus)
 
 
 def solve(dec: SmithDecomposition, rhs: Sequence[int], modulus: int) -> SolutionSet:
     """Complete description of {v : M*v = rhs (mod modulus)}, given
-    dec = smith(M): one decomposition serves every right-hand side."""
-    rows, cols = dec.D.rows, dec.D.cols
-    if len(rhs) != rows:
-        raise ValueError("right-hand side length must match the row count")
-    if modulus < 1:
-        raise ValueError("modulus must be positive")
-    c = dec.U.mulvec(rhs) if rows else ()
-    diag = [dec.D.get(i, i) for i in range(dec.rank)]
-
-    y = [0] * cols
-    steps = []  # (column of V, step, period): pivot columns, then free ones
-    count = 1
-    for i, d in enumerate(diag):
-        g = gcd(d, modulus)
-        if c[i] % g:
-            return _unsolvable(cols, modulus)
-        mg = modulus // g
-        y[i] = ((c[i] // g) * pow((d // g) % mg, -1, mg)) % mg if mg > 1 else 0
-        if g > 1:
-            steps.append((i, mg, g))
-            count *= g
-    for i in range(dec.rank, rows):
-        if c[i] % modulus:
-            return _unsolvable(cols, modulus)
-    for j in range(dec.rank, cols):
-        if modulus > 1:
-            steps.append((j, 1, modulus))
-            count *= modulus
-
-    particular = tuple(x % modulus for x in dec.V.mulvec(y))
-    kernel = tuple(
-        (tuple(step * dec.V.get(r, col) % modulus for r in range(cols)), period)
-        for col, step, period in steps
-    )
-    return SolutionSet(True, particular, kernel, count, modulus)
+    dec = smith(M); a SolvePlan serves many right-hand sides."""
+    return SolvePlan(dec, modulus).solve(rhs)
 
 
 def _combination(sol: SolutionSet, coeffs: Sequence[int]) -> tuple[int, ...]:

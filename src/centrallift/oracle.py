@@ -20,7 +20,7 @@ from . import engines, lifting
 from .engines import Element, GroupEngine
 from .lifting import Endomorphism, LiftContext, LiftProblem
 from .presentation import Presentation, QuotientAutSpec
-from .words import evaluate_indices
+from .words import FreeWord, evaluate_indices, reduce
 
 
 class BudgetExceeded(RuntimeError):
@@ -60,13 +60,36 @@ def _relators_by_depth(relators, depth_order: list[int]) -> list[list]:
     return groups
 
 
+def _split(rel, gen: int) -> tuple[list[int], list[FreeWord]]:
+    """rel, rotated to start at its first letter of gen and split at gen's
+    letters, as (exps, runs): rel is the identity iff x^exps[0] * runs[0]
+    * ... * x^exps[-1] * runs[-1] is, at x the image of gen, where each run
+    is a word in the other generators.  A rotation is a conjugate, so it
+    is the identity iff rel is."""
+    letters = rel.letters
+    start = next(i for i, (g, _) in enumerate(letters) if g == gen)
+    exps: list[int] = []
+    runs: list[list[tuple[int, int]]] = []
+    for g, e in letters[start:] + letters[:start]:
+        if g == gen:
+            exps.append(e)
+            runs.append([])
+        else:
+            runs[-1].append((g, e))
+    return exps, [reduce(run) for run in runs]
+
+
 def _search_image_tuples(pres, engine, pools, depth_order) -> list[tuple[int, ...]]:
     """Every tuple of element indices, one from each generator's pool, at
     which each relator evaluates to the identity, sorted.
 
     A relator on a single generator is checked once per candidate of that
     generator, while its pool is filtered; the others are checked per
-    depth of the search, as soon as their support is assigned.
+    depth of the search, as soon as their support is assigned.  Such a
+    relator is split once at the letters of the generator assigned at its
+    depth (_split); at each search node its runs of assigned letters are
+    folded once, so a candidate pays only for its own letters, and the
+    last run is compared as an inverse instead of multiplied.
     """
     pools = list(pools)
     relators = []
@@ -79,22 +102,38 @@ def _search_image_tuples(pres, engine, pools, depth_order) -> list[tuple[int, ..
             ]
         elif support:
             relators.append(rel)
-    groups = _relators_by_depth(relators, depth_order)
+    groups = [
+        [_split(rel, gen) for rel in group]
+        for gen, group in zip(depth_order, _relators_by_depth(relators, depth_order))
+    ]
     n = pres.n
+    mult, power, inverse = engine._mult_index, engine._power_index, engine._inv_index
     images = [0] * n
     out = []
+
+    def holds(c: int, exps: list[int], folds: list[int], target: int) -> bool:
+        acc = power(c, exps[0])
+        for fold, e in zip(folds, exps[1:]):
+            acc = mult(mult(acc, fold), power(c, e))
+        return acc == target
 
     def descend(depth: int) -> None:
         if depth == n:
             out.append(tuple(images))
             return
         gen = depth_order[depth]
-        for candidate in pools[gen]:
+        survivors = pools[gen]
+        for exps, runs in groups[depth]:
+            folds = [evaluate_indices(run, images, engine) for run in runs]
+            target = inverse(folds.pop())
+            if len(exps) == 1:  # x^e = target: one power per candidate
+                e = exps[0]
+                survivors = [c for c in survivors if power(c, e) == target]
+            else:
+                survivors = [c for c in survivors if holds(c, exps, folds, target)]
+        for candidate in survivors:
             images[gen] = candidate
-            if all(
-                evaluate_indices(rel, images, engine) == 0 for rel in groups[depth]
-            ):
-                descend(depth + 1)
+            descend(depth + 1)
 
     descend(0)
     out.sort()

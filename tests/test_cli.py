@@ -47,6 +47,23 @@ def test_auto_c6(tmp_path, capsys):
     assert payload["lift_count"] == 2
 
 
+def test_auto_labels_non_cyclic_targets_by_the_images_of_n(tmp_path, capsys):
+    # one target per ordered pair of distinct involutions generating <a, b>,
+    # labelled by the shortest words of the images of a and b
+    pres = write(tmp_path, "c2c2c4.grp", corpus.C2C2C4_AB)
+    phi = write(tmp_path, "phi.img", "image: a\nimage: b\nimage: c\n")
+    assert cli.main(["auto", pres, phi]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [t["label"] for t in payload["targets"]] == [
+        "images=a,b",
+        "images=a,a*b",
+        "images=b,a",
+        "images=b,a*b",
+        "images=a*b,a",
+        "images=a*b,b",
+    ]
+
+
 def test_existence_only(tmp_path, capsys):
     pres = write(tmp_path, "c6.grp", corpus.C6_FULL)
     phi = write(tmp_path, "phi.img", "image: 1\n")

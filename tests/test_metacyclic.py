@@ -1,8 +1,9 @@
 import hashlib
+import json
 
 import pytest
 
-from centrallift import cli, engines, lifting, metacyclic, oracle
+from centrallift import cli, engines, lifting, metacyclic, modlinalg, oracle
 from centrallift.metacyclic import CaseStudyConfig, metacyclic_presentation
 from centrallift.presentation import CentralSubgroupSpec, Presentation, QuotientAutSpec
 from centrallift.words import FreeWord, concat, evaluate, format_word
@@ -252,6 +253,34 @@ def test_case_study_builds_one_context(monkeypatch):
     assert perm_engines == [9]
 
 
+def test_aut_search_enumerates_each_fitted_presentation_once(monkeypatch):
+    # the first 200 fitting triples are forced to be skipped: they still run
+    # the real check, but A's presentation is enumerated once per (a, j, k)
+    real_verify, real_tc = metacyclic._verify_params, engines.todd_coxeter
+    tried, enumerated = [], []
+
+    def skipping_verify(cfg, g_engine, auts, pres, *rest):
+        tried.append(pres)
+        fitted = real_verify(cfg, g_engine, auts, pres, *rest)
+        return None if len(tried) <= 200 else fitted
+
+    def counting_tc(pres, *args, **kwargs):
+        enumerated.append(pres)
+        return real_tc(pres, *args, **kwargs)
+
+    cfg = CaseStudyConfig(3, 4)
+    pres_g = metacyclic_presentation(cfg)
+    g = metacyclic.build_group(cfg, pres_g)
+    monkeypatch.setattr(metacyclic, "_verify_params", skipping_verify)
+    monkeypatch.setattr(engines, "todd_coxeter", counting_tc)
+    a_engine, _, pres_a, _ = metacyclic.build_aut_A(cfg, pres_g, g, metacyclic._inner_maps(g))
+    assert a_engine.order() == 162 and len(tried) == 201
+    # one enumeration per distinct presentation, at its first triple
+    assert enumerated == list(dict.fromkeys(tried))
+    assert len(enumerated) == 9
+    assert pres_a in enumerated
+
+
 def test_case_study_scans_neither_a_nor_the_conjugations_of_g(monkeypatch):
     # Z(A) is read off the LiftContext and Inn(G) closed from two maps: the
     # only centre scans are of A/Z and of G, and G's two generators are the
@@ -293,6 +322,39 @@ def test_demo_materializes_only_the_lifts_it_checks(monkeypatch, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "383bc871cd78ef367045487edef6012119a8c2ac4cf2fcda2fd9506de3ceef79"
     )
+
+
+def test_demo_plans_each_system_once_and_builds_few_solution_sets(monkeypatch, capsys):
+    # the (A, Z) context holds one solve plan for M and one for the extended
+    # matrix, both mod |Z| = 9; the 432 phis are counted on them, and only
+    # the first phi's hom target and the witness's hom and 2 aut targets
+    # build solution sets
+    real_smith, real_set = modlinalg.smith, modlinalg.SolutionSet
+    real_plan_init = modlinalg.SolvePlan.__init__
+    matrices, plans, sets = {}, [], []
+
+    def recording_smith(matrix):
+        dec = real_smith(matrix)
+        matrices[id(dec)] = matrix
+        return dec
+
+    def recording_plan_init(self, dec, modulus):
+        real_plan_init(self, dec, modulus)
+        matrix = matrices[id(dec)]
+        plans.append((matrix.rows, matrix.cols, modulus))
+
+    def counting_set(*args):
+        sets.append(args)
+        return real_set(*args)
+
+    monkeypatch.setattr(modlinalg, "smith", recording_smith)
+    monkeypatch.setattr(modlinalg.SolvePlan, "__init__", recording_plan_init)
+    monkeypatch.setattr(modlinalg, "SolutionSet", counting_set)
+    assert cli.main(["demo", "--p", "3", "--n", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["quotient_aut_count"] == 432
+    assert len(matrices) == 2
+    assert plans == [(6, 3, 9), (7, 3, 9)]  # M, then M with the z-word's row
+    assert len(sets) == 4
 
 
 def test_demo_cross_checks_the_counts_against_the_first_phis_lifts(

@@ -1,11 +1,13 @@
 import itertools
 import math
+import operator
 import random
 
 import pytest
 
 from centrallift.modlinalg import (
     IntMatrix,
+    SolvePlan,
     enumerate_solutions,
     factorize,
     primitive_roots,
@@ -39,16 +41,11 @@ def minor_gcd_diagonal(matrix: IntMatrix):
 
 
 def brute_count(matrix: IntMatrix, w, m):
-    count = 0
-    rows, cols = matrix.rows, matrix.cols
-    mrows = [matrix.row(i) for i in range(rows)]
-    for v in itertools.product(range(m), repeat=cols):
-        if all(
-            sum(r[j] * v[j] for j in range(cols)) % m == w[i] % m
-            for i, r in enumerate(mrows)
-        ):
-            count += 1
-    return count
+    mrows = [matrix.row(i) for i in range(matrix.rows)]
+    return sum(
+        all((sum(map(operator.mul, r, v)) - wi) % m == 0 for r, wi in zip(mrows, w))
+        for v in itertools.product(range(m), repeat=matrix.cols)
+    )
 
 
 def test_smith_identity():
@@ -108,6 +105,36 @@ def test_solve_rejects_a_right_hand_side_of_the_wrong_length():
     for rhs in ((), (0,), (0, 0, 0)):
         with pytest.raises(ValueError, match="right-hand side length must match"):
             solve(dec, rhs, 5)
+
+
+def test_plan_counts_and_solves_the_seeded_systems():
+    # one plan per (M, modulus): its count reads no solution set, and its
+    # solution set is solve's, field by field; unsolvable systems included
+    unsolvable = 0
+    for rows, modulus, w in seeded_systems():
+        matrix = IntMatrix.from_rows(rows)
+        dec = smith(matrix)
+        for m in (modulus, 1):
+            plan = SolvePlan(dec, m)
+            expected = brute_count(matrix, w, m)
+            sol = plan.solve(w)
+            assert plan.count(w) == sol.count == expected, (rows, m, w)
+            assert sol == solve(dec, w, m)  # field by field
+            assert sol.solvable == (expected > 0)
+            unsolvable += not expected
+    assert unsolvable > 100
+
+
+def test_plan_rejects_a_wrong_length_and_a_non_positive_modulus():
+    dec = smith(IntMatrix.from_rows([[1, 2], [3, 4]]))
+    plan = SolvePlan(dec, 5)
+    for rhs in ((), (0,), (0, 0, 0)):
+        for answer in (plan.count, plan.solve):
+            with pytest.raises(ValueError, match="right-hand side length must match"):
+                answer(rhs)
+    for modulus in (0, -1):
+        with pytest.raises(ValueError, match="modulus must be positive"):
+            SolvePlan(dec, modulus)
 
 
 def test_modulus_one_degenerate():

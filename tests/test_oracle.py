@@ -1,11 +1,13 @@
 import dataclasses
+import itertools
 
 import pytest
 
 import corpus
-from centrallift import cli, engines, lifting, oracle
+from centrallift import cli, engines, lifting, metacyclic, oracle
 from centrallift.lifting import LiftContext
 from centrallift.presentation import (
+    Presentation,
     QuotientAutSpec,
     parse_presentation,
     parse_presentation_file,
@@ -224,3 +226,79 @@ def test_aut_group_times_fiber_counts_lifted_endos():
     liftable = [c for c in per_phi if c]
     assert sum(per_phi) == len(all_lifts)
     assert len(set(liftable)) <= 1
+
+
+def whole_relator_search(pres, engine, pools, depth_order):
+    # the reference: each relator multiplied out letter by letter from the
+    # identity at every candidate, as soon as its support is assigned
+    mult, inv = engine._mult_index, engine._inv_index
+    position = {g: d for d, g in enumerate(depth_order)}
+    by_depth = [[] for _ in depth_order]
+    for rel in pres.relators:
+        if rel.letters:
+            by_depth[max(position[g] for g, _ in rel.letters)].append(rel)
+
+    def value(rel, images):
+        acc = 0
+        for g, e in rel.letters:
+            x = images[g] if e > 0 else inv(images[g])
+            for _ in range(abs(e)):
+                acc = mult(acc, x)
+        return acc
+
+    images, out = [0] * pres.n, []
+
+    def descend(depth):
+        if depth == pres.n:
+            out.append(tuple(images))
+            return
+        gen = depth_order[depth]
+        for candidate in pools[gen]:
+            images[gen] = candidate
+            if all(value(rel, images) == 0 for rel in by_depth[depth]):
+                descend(depth + 1)
+
+    descend(0)
+    return sorted(out)
+
+
+def case_study_groups(p, n):
+    # (presentation, engine) of G, A and A/Z for the demo at (p, n)
+    cfg = metacyclic.CaseStudyConfig(p, n, order_budget=(p - 1) * p**n)
+    pres_g = metacyclic.metacyclic_presentation(cfg)
+    g = metacyclic.build_group(cfg, pres_g)
+    a, _, pres_a, _ = metacyclic.build_aut_A(cfg, pres_g, g, metacyclic._inner_maps(g))
+    z_words = metacyclic._central_spec(cfg).z_words
+    pres_q = Presentation(pres_a.names, z_words + pres_a.relators)
+    return [(pres_g, g), (pres_a, a), (pres_q, engines.todd_coxeter(pres_q))]
+
+
+@pytest.mark.parametrize(
+    "groups, every_order",
+    [
+        (lambda: [corpus.build(text)[::2] for _, text in corpus.CORPUS], True),
+        (lambda: case_study_groups(3, 4), True),
+        (lambda: case_study_groups(3, 5), False),
+    ],
+    ids=["corpus", "case-study-3-4", "case-study-3-5"],
+)
+def test_search_folds_to_the_whole_relator_search(groups, every_order):
+    # relators folded per search node find the tuples that whole relators,
+    # multiplied out at every candidate, find: on the order-matched pools
+    # of the automorphism search, in every depth order (so every rotation
+    # and split of a relator occurs), or in its own order and in reverse
+    for pres, engine in groups():
+        orders = [engines.element_order(engine, el) for el in engine.elements()]
+        pools = [
+            [j for j in range(engine.order()) if orders[j] == orders[g]]
+            for g in engine._gen_indices
+        ]
+        greedy = oracle._greedy_depth_order(pres, pools)
+        depth_orders = itertools.permutations(range(pres.n)) if every_order else (
+            greedy,
+            greedy[::-1],
+        )
+        for depth_order in map(list, depth_orders):
+            folded = oracle._search_image_tuples(pres, engine, pools, depth_order)
+            assert folded == whole_relator_search(pres, engine, pools, depth_order)
+            assert folded
