@@ -119,29 +119,16 @@ class GroupEngine:
     def _power_index(self, idx: int, k: int) -> int:
         """Index of idx**k, memoized per exponent like the inverses.
 
-        A miss runs square-and-multiply; negative k goes through the
-        inverse.  The last square is skipped, so x^1 touches no column.
+        A miss runs _square_and_multiply; negative k goes through the
+        inverse, and x^1 touches no column.
         """
         try:
             return self._powers[k][idx]
         except KeyError:
-            power = self._square_and_multiply(idx, k)
+            base = idx if k >= 0 else self._inv_index(idx)
+            power = _square_and_multiply(self._mult_index, 0, base, abs(k))
             self._powers.setdefault(k, {})[idx] = power
             return power
-
-    def _square_and_multiply(self, idx: int, k: int) -> int:
-        if k < 0:
-            idx = self._inv_index(idx)
-            k = -k
-        mult = self._mult_index
-        acc = 0  # identity index
-        while k:
-            if k & 1:
-                acc = idx if acc == 0 else mult(acc, idx)
-            k >>= 1
-            if k:
-                idx = mult(idx, idx)
-        return acc
 
     def _mult_index(self, i: int, j: int) -> int:
         return (self._columns[j] or self._column(j))[i]
@@ -205,16 +192,18 @@ def _compose(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     return tuple([b[x] for x in a])
 
 
-def _perm_power(perm: Sequence[int], k: int) -> tuple[int, ...]:
-    """perm^k for k >= 0 by square-and-multiply (x^243 costs 8
-    compositions, not 243)."""
-    acc = tuple(range(len(perm)))
+def _square_and_multiply(mult, one, a, k: int):
+    """a^k for k >= 0 under the product mult with identity one, in
+    O(log k) products (x^243 takes 8, not 243): the first factor is
+    taken as is, not multiplied into one, and the last square is
+    skipped, so a^1 is a itself and costs no product."""
+    acc = one
     while k:
         if k & 1:
-            acc = _compose(acc, perm)
+            acc = a if acc == one else mult(acc, a)
         k >>= 1
         if k:
-            perm = _compose(perm, perm)
+            a = mult(a, a)
     return acc
 
 
@@ -292,7 +281,8 @@ def _check_coset_table(presentation: "Presentation", actions: list[list[int]]) -
     for rel in presentation.relators:
         pts = identity
         for gen, exp in rel.letters:
-            pts = _compose(pts, _perm_power(actions[2 * gen + (exp < 0)], abs(exp)))
+            run = actions[2 * gen + (exp < 0)]
+            pts = _compose(pts, _square_and_multiply(_compose, identity, run, abs(exp)))
         if pts != identity:
             raise AssertionError("coset table: a relator does not act as the identity")
 

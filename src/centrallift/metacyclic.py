@@ -13,19 +13,21 @@ the LiftContext for (A, Z) checks that z is central and A/Z has trivial
 centre; Inn(G) = <conj_x, conj_y>, since g -> conj_g is onto; and the
 lift counts of each phi after the first, which are read off the Smith
 forms (lifting.count_lifts) and checked as a whole by the order of
-Aut(A), found by the oracle's independent search.
+Aut(A), found by the oracle's independent search.  An automorphism of G
+is its pair of images of x and y (as in Eick, Leedham-Green and O'Brien,
+"Constructing automorphism groups of p-groups", 2002); only the tie of
+the fitted triple to A maps whole permutations of G.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 from . import engines, lifting, modlinalg, oracle
-from .engines import Element, GroupEngine, PermutationEngine, _compose, _perm_inverse, _perm_power
+from .engines import Element, GroupEngine
 from .lifting import LiftContext
 from .presentation import CentralSubgroupSpec, NotCentral, Presentation, QuotientAutSpec
-from .words import FreeWord, concat, evaluate, format_word
+from .words import FreeWord, concat, evaluate, evaluate_indices, format_word
 
 
 class InvalidConfig(ValueError):
@@ -137,97 +139,106 @@ def build_group(cfg: CaseStudyConfig, pres: Presentation) -> GroupEngine:
     return engine
 
 
-def _conjugation_map(engine: GroupEngine, g: Element) -> tuple[int, ...]:
-    # h -> g^-1 h g is an automorphism: extend it from the generators
-    ginv, gens = engine.inverse(g), map(engine.generator, range(engine.ngens))
-    conj = [engine.multiply(engine.multiply(ginv, x), g) for x in gens]
-    return engines.map_images(engine, conj)
+Pair = tuple[int, int]  # an automorphism of G as its images of x and y
 
 
-def _inner_maps(g_engine: GroupEngine) -> list[tuple[int, ...]]:
-    """Inn(G), conjugation by x first, then sorted: the closure of conj_x
-    and conj_y, since g -> conj_g maps G onto Inn(G)."""
-    conj_x, conj_y = (_conjugation_map(g_engine, g_engine.generator(i)) for i in (0, 1))
-    return [conj_x] + [m for m in PermutationEngine([conj_x, conj_y])._perms if m != conj_x]
+class _PairAlgebra:
+    """Automorphisms of G as pairs (alpha(x), alpha(y)) of element indices.
+
+    then(a, b) is a followed by b: each image of a, as its shortest word
+    in x and y, evaluated at b's images.  The product is the right action
+    on G's points that A's word tree walks, so it is A's product.
+    """
+
+    def __init__(self, g_engine: GroupEngine):
+        self.g_engine = g_engine
+        self.words = [engines.word_for_element(g_engine, h) for h in g_engine.elements()]
+        self.identity: Pair = tuple(g_engine._gen_indices)
+
+    def then(self, a: Pair, b: Pair) -> Pair:
+        g, words = self.g_engine, self.words
+        return (evaluate_indices(words[a[0]], b, g), evaluate_indices(words[a[1]], b, g))
+
+    def power(self, a: Pair, k: int) -> Pair:
+        return engines._square_and_multiply(self.then, self.identity, a, k)
+
+    def has_order(self, a: Pair, m: int) -> bool:
+        """a^m = 1 and a^(m/q) != 1 for each prime q dividing m."""
+        powers = [self.power(a, m // q) for q in (1, *modlinalg.factorize(m))]
+        return powers[0] == self.identity and self.identity not in powers[1:]
 
 
-def _perm_order(perm: tuple[int, ...]) -> int:
-    """Order of a permutation: the lcm of its cycle lengths."""
-    order, seen = 1, [False] * len(perm)
-    for start in range(len(perm)):
-        length, x = 0, start
-        while not seen[x]:
-            seen[x] = True
-            x = perm[x]
-            length += 1
-        if length:
-            order = lcm(order, length)
-    return order
+def _inner_maps(algebra: _PairAlgebra) -> list[Pair]:
+    """Inn(G) as pairs, conjugation by x first, then sorted: the closure of
+    conj_x and conj_y, since g -> conj_g maps G onto Inn(G).  With x and y
+    at indices 1 and 2, sorted pairs are sorted maps."""
+    mult, inv, then = algebra.g_engine._mult_index, algebra.g_engine._inv_index, algebra.then
+    x, y = algebra.identity
+    conj_x, conj_y = ((mult(mult(inv(g), x), g), mult(mult(inv(g), y), g)) for g in (x, y))
+    closure = [algebra.identity]
+    for cur in closure:  # grows while it is walked
+        closure += [m for m in (then(cur, conj_x), then(cur, conj_y)) if m not in closure]
+    return [conj_x] + sorted(m for m in closure if m != conj_x)
 
 
 def build_aut_A(
     cfg: CaseStudyConfig,
     pres_g: Presentation,
-    g_engine: GroupEngine,
-    inner_maps: list[tuple[int, ...]],
-) -> tuple[GroupEngine, AutParams, Presentation, dict[tuple[int, int], int]]:
+    algebra: _PairAlgebra,
+    inner_maps: list[Pair],
+) -> tuple[GroupEngine, AutParams, Presentation, dict[Pair, int]]:
     """A = Aut(G) as the engine of its fitted presentation, with the fitted
     parameters, the presentation and A's element index by pair.
 
-    The search runs on automorphisms as maps of G's element indices, in the
-    oracle's order (sorted by generator images, so by map): x1 among the
-    order-p maps of inner_maps, in their order, x2 among the order-p maps,
-    x3 among those of maximal order (p-1)p^(n-2), a among the primitive
-    roots of p^(n-2) or p^(n-1), j and k in [0, p).
+    The search runs on automorphisms as pairs, in the oracle's order
+    (sorted by generator images): x1 among the order-p pairs of
+    inner_maps, in their order, x2 among the order-p pairs, x3 among those
+    of maximal order (p-1)p^(n-2), a among the primitive roots of p^(n-2)
+    or p^(n-1), j and k in [0, p).
     """
     p, n = cfg.p, cfg.n
-    auts = oracle.bf_automorphism_group(pres_g, g_engine)
+    auts = oracle.bf_automorphism_group(pres_g, algebra.g_engine)
     _require(len(auts) == cfg.aut_order, "automorphism group order mismatch")
 
+    then, power = algebra.then, algebra.power
     max_order = (p - 1) * p ** (n - 2)
     small = (p - 1) * p ** (n - 3)
-    by_order: dict[int, list[tuple[int, ...]]] = {p: [], max_order: []}
-    for aut in auts:  # one map at a time: only the candidates are kept
-        m = engines.map_images(g_engine, aut.images)
-        by_order.get(_perm_order(m), []).append(m)
-    x2_candidates, x3_candidates = by_order[p], by_order[max_order]
-    x1_candidates = [m for m in inner_maps if _perm_order(m) == p]
+    x2_candidates = [aut.key() for aut in auts if algebra.has_order(aut.key(), p)]
+    x3_candidates = [aut.key() for aut in auts if algebra.has_order(aut.key(), max_order)]
+    x1_candidates = [m for m in inner_maps if algebra.has_order(m, p)]
     roots_small = set(modlinalg.primitive_roots(p ** (n - 2)))
     roots_big = set(modlinalg.primitive_roots(p ** (n - 1)))
     enumerated: dict[Presentation, GroupEngine] = {}  # one per (a, j, k)
 
     def with_exponents(candidates, exp: int, x3, step):
-        # (x, e) for each x with x3^-1 x x3 * step^e == x^exp, e in [0, p)
-        x3_inv = _perm_inverse(x3)
+        # (x, e) for each x with x * x3 * step^e == x3 * x^exp, e in [0, p):
+        # x3^-1 x x3 step^e == x^exp, with no inverse taken
         found = []
         for x in candidates:
-            want, cur = _perm_power(x, exp), _compose(_compose(x3_inv, x), x3)
+            want, cur = then(x3, power(x, exp)), then(x, x3)
             for e in range(p):
                 if cur == want:
                     found.append((x, e))
                     break
-                cur = _compose(cur, step)
+                cur = then(cur, step)
         return found
 
     for a in sorted(roots_small | roots_big):
         a_inv = pow(a % p, -1, p)
         for x3 in x3_candidates:
-            step = _perm_power(x3, small)
+            step = power(x3, small)
             pairs1 = with_exponents(x1_candidates, a, x3, step)
             if not pairs1:
                 continue
             pairs2 = with_exponents(x2_candidates, a_inv, x3, step)
             for x1, jj in pairs1:
                 for x2, kk in pairs2:
-                    comm = _compose(
-                        _compose(_perm_power(x1, p - 1), _perm_power(x2, p - 1)),
-                        _compose(x1, x2),
-                    )
+                    comm = then(then(power(x1, p - 1), power(x2, p - 1)), then(x1, x2))
                     if comm != step:
                         continue
                     pres = aut_presentation(p, n, a, a_inv, jj, kk)
                     fitted = _verify_params(
-                        cfg, g_engine, auts, pres, (x1, x2, x3), enumerated
+                        cfg, algebra, auts, pres, (x1, x2, x3), enumerated
                     )
                     if fitted is None:
                         continue
@@ -241,12 +252,12 @@ def build_aut_A(
 
 def _verify_params(
     cfg: CaseStudyConfig,
-    g_engine: GroupEngine,
+    algebra: _PairAlgebra,
     auts: list,
     pres: Presentation,
-    triple: tuple,
+    triple: tuple[Pair, Pair, Pair],
     enumerated: dict[Presentation, GroupEngine],
-) -> tuple[GroupEngine, dict[tuple[int, int], int]] | None:
+) -> tuple[GroupEngine, dict[Pair, int]] | None:
     """A, enumerated from the fitted presentation, and A's element index by
     pair (images of x and y); None if the triple does not generate Aut(G).
 
@@ -255,8 +266,12 @@ def _verify_params(
     tree make the map one-to-one, and equal to the oracle's make it onto.
     The enumeration depends only on the presentation, that is on (a, j, k),
     not on the triple: it is made once per presentation, in `enumerated`.
+    The six actions are the maps of the triple and of its inverses,
+    alpha^-1 = alpha^(|Aut(G)| - 1).
     """
-    actions = [m for x in triple for m in (x, _perm_inverse(x))]
+    g_engine = algebra.g_engine
+    pairs = [pair for x in triple for pair in (x, algebra.power(x, cfg.aut_order - 1))]
+    actions = [engines.map_images(g_engine, list(map(g_engine.element, pair))) for pair in pairs]
     try:
         engines._check_coset_table(pres, actions)
     except AssertionError:
@@ -302,13 +317,12 @@ def verify_inner(
     g_engine: GroupEngine,
     a_engine: GroupEngine,
     params: AutParams,
-    inner_maps: list[tuple[int, ...]],
-    a_index: dict[tuple[int, int], int],
+    inner_maps: list[Pair],
+    a_index: dict[Pair, int],
 ) -> tuple[Element, ...]:
     """Inn(G) as conjugations, found in A by pair; asserts Inn(G) = <x1,
     x3^((p-1)p^(n-3))>, and |Inn(G)| * |Z(G)| = |G| by G's centralizer rows."""
-    x, y = g_engine._gen_indices
-    inner = tuple(sorted(a_engine.element(a_index[m[x], m[y]]) for m in inner_maps))
+    inner = tuple(sorted(a_engine.element(a_index[m]) for m in inner_maps))
     span = engines.subgroup_closure(
         a_engine,
         (params.x1, a_engine.power(params.x3, (cfg.p - 1) * cfg.p ** (cfg.n - 3))),
@@ -491,7 +505,7 @@ class CaseStudyResult:
     cfg: CaseStudyConfig
     g_engine: GroupEngine
     a_engine: GroupEngine
-    a_index: dict[tuple[int, int], int]  # A's element index by pair (images of x, y)
+    a_index: dict[Pair, int]  # A's element index by pair (images of x, y)
     params: AutParams
     pres_a: Presentation
     center: tuple[Element, ...]
@@ -534,8 +548,9 @@ def run_case_study(cfg: CaseStudyConfig) -> CaseStudyResult:
     """Full pipeline; raises VerificationFailed on any failed check."""
     pres_g = metacyclic_presentation(cfg)
     g_engine = build_group(cfg, pres_g)
-    inner_maps = _inner_maps(g_engine)
-    a_engine, params, pres_a, a_index = build_aut_A(cfg, pres_g, g_engine, inner_maps)
+    algebra = _PairAlgebra(g_engine)
+    inner_maps = _inner_maps(algebra)
+    a_engine, params, pres_a, a_index = build_aut_A(cfg, pres_g, algebra, inner_maps)
     # LiftContext checks that z is central and |A/Z| * |Z| = |A|; a z that
     # is not central is a failed claim about A here, not bad input
     try:

@@ -272,12 +272,6 @@ class SolvePlan:
         return SolutionSet(True, particular, self.kernel_basis, self._count, modulus)
 
 
-def solve(dec: SmithDecomposition, rhs: Sequence[int], modulus: int) -> SolutionSet:
-    """Complete description of {v : M*v = rhs (mod modulus)}, given
-    dec = smith(M); a SolvePlan serves many right-hand sides."""
-    return SolvePlan(dec, modulus).solve(rhs)
-
-
 def _combination(sol: SolutionSet, coeffs: Sequence[int]) -> tuple[int, ...]:
     vec = list(sol.particular)
     for (basis, _), c in zip(sol.kernel_basis, coeffs):

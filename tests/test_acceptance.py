@@ -104,7 +104,7 @@ def test_criterion_6_snf_and_solve_properties():
         d = [x for x in dec.diagonal() if x]
         assert all(d[i + 1] % d[i] == 0 for i in range(len(d) - 1))
 
-        sol = modlinalg.solve(dec, w, modulus)
+        sol = modlinalg.SolvePlan(dec, modulus).solve(w)
         brute = 0
         mrows = [matrix.row(i) for i in range(rows)]
         for v in itertools.product(range(modulus), repeat=cols):

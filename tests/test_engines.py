@@ -328,6 +328,66 @@ def test_power_matches_iteration():
     assert engine.power(x, -7) == engine.inverse(engine.power(x, 7))
 
 
+def built_columns(engine):
+    return [j for j, col in enumerate(engine._columns) if col is not None]
+
+
+def test_square_and_multiply_serves_indices_permutations_and_pairs(case_study):
+    # one square-and-multiply powers engine indices, permutations of G and
+    # the case study's pairs; for k in 0..70 each result is the k-fold
+    # product, and a^1 is a itself, with no product taken
+    g = case_study.g_engine
+    algebra = metacyclic._PairAlgebra(g)
+    pair = {i: pair for pair, i in case_study.a_index.items()}[case_study.params.x3.index]
+    perm = engines.map_images(g, [g.element(i) for i in pair])
+    cyclic = todd_coxeter(parse_presentation("generators: x\nrelator: x^101"))
+    algebras = [
+        (g._mult_index, 0, 5),
+        (cyclic._mult_index, 0, cyclic._gen_indices[0]),
+        (engines._compose, tuple(range(g.order())), perm),
+        (algebra.then, algebra.identity, pair),
+    ]
+    for mult, one, a in algebras:
+        expected = one
+        for k in range(71):
+            products = []
+
+            def counting(u, v, mult=mult):
+                products.append((u, v))
+                return mult(u, v)
+
+            assert engines._square_and_multiply(counting, one, a, k) == expected
+            if k == 1:
+                assert products == []
+            expected = mult(expected, a)
+    # below the order of a, squares and products are counted exactly: the
+    # last square is skipped and the first factor is not multiplied into 1
+    x = cyclic._gen_indices[0]
+    for k in range(1, 71):
+        products = []
+
+        def counting(u, v):
+            products.append((u, v))
+            return cyclic._mult_index(u, v)
+
+        engines._square_and_multiply(counting, 0, x, k)
+        assert len(products) == k.bit_length() - 1 + bin(k).count("1") - 1
+
+
+def test_power_index_goes_through_the_inverse_and_builds_no_column_for_x1():
+    engine = todd_coxeter(parse_presentation(corpus.METACYCLIC34))
+    assert built_columns(engine) == [0]
+    for i in range(engine.order()):
+        assert engine._power_index(i, 1) == i
+    assert built_columns(engine) == [0]
+    for i in (1, 2, 5, 40):
+        acc = 0
+        for k in range(1, 71):
+            acc = engine._mult_index(acc, engine._inv_index(i))
+            assert engine._power_index(i, -k) == acc
+            assert engine._power_index(i, k) == engine._inv_index(acc)
+
+
 def bfs_closure(perms, degree):
     # independent oracle: the closure of the permutations in BFS order,
     # right multiplication by each generator in turn

@@ -96,7 +96,7 @@ def test_hom_lift_count_coprime_modulus():
     )
     dec = modlinalg.smith(m)
     for modulus in (2, 3, 7, 11, 12):
-        s = modlinalg.solve(dec, (0, 0), modulus)
+        s = modlinalg.SolvePlan(dec, modulus).solve((0, 0))
         assert s.count == 1
 
 

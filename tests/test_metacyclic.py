@@ -1,5 +1,7 @@
 import hashlib
 import json
+import math
+import random
 
 import pytest
 
@@ -92,8 +94,8 @@ def test_inner_matches_conjugations(case_study):
     assert len(case_study.inner) * z_count == g.order()
     # conjugation by x is the fitted x1 (the search seeds it first); A finds
     # it by its pair, the images of x and y, which extend to the whole map
-    conj_x = metacyclic._conjugation_map(g, g.generator(0))
     x, y = g._gen_indices
+    conj_x = reference_conjugation(g, x)
     assert engines.map_images(g, [g.element(conj_x[x]), g.element(conj_x[y])]) == conj_x
     x1 = case_study.a_engine.element(case_study.a_index[conj_x[x], conj_x[y]])
     assert x1 == case_study.params.x1
@@ -104,29 +106,43 @@ def reference_conjugation(g, i):
     return tuple(g._mult_index(g._mult_index(g._inv_index(i), h), i) for h in range(g.order()))
 
 
+def pair_of(g, perm):
+    """The pair (images of x and y) of a map of G."""
+    x, y = g._gen_indices
+    return perm[x], perm[y]
+
+
+def map_of(g, pair):
+    """The map of G that a pair extends to."""
+    return engines.map_images(g, [g.element(i) for i in pair])
+
+
 @pytest.mark.parametrize("p,n,budget", [(3, 4, 200), (3, 5, 500), (5, 4, 2500)])
 def test_inner_maps_are_the_conjugation_scan(p, n, budget):
     # the closure of conj_x and conj_y is every conjugation map, conj_x
-    # first (it seeds the x1 search) and the rest sorted
+    # first (it seeds the x1 search) and the rest sorted, as pairs
     cfg = CaseStudyConfig(p, n, order_budget=budget)
     g = metacyclic.build_group(cfg, metacyclic_presentation(cfg))
     scan = {reference_conjugation(g, i) for i in range(g.order())}  # all of G
-    inner = metacyclic._inner_maps(g)
+    inner = metacyclic._inner_maps(metacyclic._PairAlgebra(g))
     assert len(inner) == len(scan) == p * p
-    assert inner[0] == metacyclic._conjugation_map(g, g.generator(0))
-    assert inner[1:] == sorted(scan - {inner[0]})
-    # extending from the generators' conjugates gives the whole map
-    for el in g.elements()[: 2 * p]:
-        assert metacyclic._conjugation_map(g, el) == reference_conjugation(g, el.index)
+    assert inner[0] == pair_of(g, reference_conjugation(g, g._gen_indices[0]))
+    assert inner[1:] == sorted({pair_of(g, m) for m in scan} - {inner[0]})
+    # each pair extends to its whole conjugation map
+    assert {map_of(g, pair) for pair in inner} == scan
 
 
 def test_conjugation_by_identity_is_identity(case_study):
+    # conjugation by 1 is the pair algebra's identity, among Inn(G)'s pairs,
+    # and A's identity
     g = case_study.g_engine
-    conj = metacyclic._conjugation_map(g, g.identity())
+    algebra = metacyclic._PairAlgebra(g)
+    conj = reference_conjugation(g, g.identity().index)
     assert conj == tuple(range(g.order()))
-    x, y = g._gen_indices
+    assert pair_of(g, conj) == algebra.identity == tuple(g._gen_indices)
+    assert algebra.identity in metacyclic._inner_maps(algebra)
     a = case_study.a_engine
-    assert a.element(case_study.a_index[conj[x], conj[y]]) == a.identity()
+    assert a.element(case_study.a_index[algebra.identity]) == a.identity()
 
 
 def test_commutator_structure(case_study):
@@ -223,7 +239,7 @@ def test_case_study_builds_one_context(monkeypatch):
     # A/Z, its enumerated engine and M's Smith form are built once, by the one
     # LiftContext shared by the surjectivity check, the oracle and the witness;
     # Aut(G) is one engine, the enumeration of its fitted presentation, and
-    # the one permutation engine is Inn(G), of order p^2
+    # no permutation engine is built: Inn(G) is closed as pairs
     real_context, real_tc = metacyclic.LiftContext, engines.todd_coxeter
     real_perm_init = engines.PermutationEngine.__init__
     contexts, enumerated, perm_engines = [], [], []
@@ -250,7 +266,7 @@ def test_case_study_builds_one_context(monkeypatch):
     # G, A from its fitted presentation, A/Z once
     assert [engine.order() for engine in enumerated] == [81, 162, 18]
     assert enumerated[1] is result.a_engine
-    assert perm_engines == [9]
+    assert perm_engines == []
 
 
 def test_aut_search_enumerates_each_fitted_presentation_once(monkeypatch):
@@ -273,7 +289,9 @@ def test_aut_search_enumerates_each_fitted_presentation_once(monkeypatch):
     g = metacyclic.build_group(cfg, pres_g)
     monkeypatch.setattr(metacyclic, "_verify_params", skipping_verify)
     monkeypatch.setattr(engines, "todd_coxeter", counting_tc)
-    a_engine, _, pres_a, _ = metacyclic.build_aut_A(cfg, pres_g, g, metacyclic._inner_maps(g))
+    algebra = metacyclic._PairAlgebra(g)
+    built = metacyclic.build_aut_A(cfg, pres_g, algebra, metacyclic._inner_maps(algebra))
+    a_engine, _, pres_a, _ = built
     assert a_engine.order() == 162 and len(tried) == 201
     # one enumeration per distinct presentation, at its first triple
     assert enumerated == list(dict.fromkeys(tried))
@@ -282,27 +300,37 @@ def test_aut_search_enumerates_each_fitted_presentation_once(monkeypatch):
 
 
 def test_case_study_scans_neither_a_nor_the_conjugations_of_g(monkeypatch):
-    # Z(A) is read off the LiftContext and Inn(G) closed from two maps: the
-    # only centre scans are of A/Z and of G, and G's two generators are the
-    # only elements conjugated by
-    real_center, real_conj = engines.center, metacyclic._conjugation_map
-    scanned, conjugated_by = [], []
+    # Z(A) is read off the LiftContext and Inn(G) closed from two pairs: the
+    # only centre scans are of A/Z and of G, and Inn(G)'s closure multiplies
+    # each of its p^2 pairs by the conjugations by G's two generators only
+    real_center, real_inner = engines.center, metacyclic._inner_maps
+    scanned, products = [], []
 
     def counting_center(engine):
         scanned.append(engine)
         return real_center(engine)
 
-    def counting_conj(engine, g):
-        conjugated_by.append(g)
-        return real_conj(engine, g)
+    def counting_inner(algebra):
+        real_then = algebra.then
+
+        def counting_then(a, b):
+            products.append(b)
+            return real_then(a, b)
+
+        algebra.then = counting_then
+        try:
+            return real_inner(algebra)
+        finally:
+            del algebra.then
 
     monkeypatch.setattr(engines, "center", counting_center)
-    monkeypatch.setattr(metacyclic, "_conjugation_map", counting_conj)
+    monkeypatch.setattr(metacyclic, "_inner_maps", counting_inner)
     result = metacyclic.run_case_study(CaseStudyConfig(3, 4))
     assert result.a_engine not in scanned
     assert [engine.order() for engine in scanned] == [18, 81]  # A/Z, then G
     g = result.g_engine
-    assert conjugated_by == [g.generator(0), g.generator(1)]
+    conj_x, conj_y = (pair_of(g, reference_conjugation(g, i)) for i in g._gen_indices)
+    assert products == [conj_x, conj_y] * 9
 
 
 def test_demo_materializes_only_the_lifts_it_checks(monkeypatch, tmp_path):
@@ -484,28 +512,112 @@ def triple_closure(g, a_engine, a_index):
     return engines.PermutationEngine(maps)
 
 
+def perm_order(perm):
+    """Order of a permutation: the lcm of its cycle lengths."""
+    order, seen = 1, [False] * len(perm)
+    for start in range(len(perm)):
+        length, x = 0, start
+        while not seen[x]:
+            seen[x] = True
+            x = perm[x]
+            length += 1
+        if length:
+            order = math.lcm(order, length)
+    return order
+
+
 def test_perm_order_matches_engine_order(case_study):
+    # the cycle-lcm reference that the pair algebra's orders are checked
+    # against agrees with the engines' element orders
     g = case_study.g_engine
-    inn = engines.PermutationEngine(
-        [metacyclic._conjugation_map(g, g.generator(i)) for i in (0, 1)]
-    )
+    inn = engines.PermutationEngine([reference_conjugation(g, i) for i in g._gen_indices])
     a = triple_closure(g, case_study.a_engine, case_study.a_index)
     s3 = engines.PermutationEngine([(1, 2, 0), (1, 0, 2)])
     assert (inn.order(), a.order()) == (9, 162)
     for engine in (inn, a, s3):
         for el in engine.elements():
-            assert metacyclic._perm_order(engine._perms[el.index]) == (
-                engines.element_order(engine, el)
-            )
-    assert sorted(metacyclic._perm_order(p) for p in s3._perms) == [1, 2, 2, 2, 3, 3]
+            assert perm_order(engine._perms[el.index]) == engines.element_order(engine, el)
+    assert sorted(perm_order(p) for p in s3._perms) == [1, 2, 2, 2, 3, 3]
 
 
 def fitted_aut_a(p, n, budget):
     cfg = CaseStudyConfig(p, n, order_budget=budget)
     pres_g = metacyclic_presentation(cfg)
     g = metacyclic.build_group(cfg, pres_g)
-    built = metacyclic.build_aut_A(cfg, pres_g, g, metacyclic._inner_maps(g))
+    algebra = metacyclic._PairAlgebra(g)
+    built = metacyclic.build_aut_A(cfg, pres_g, algebra, metacyclic._inner_maps(algebra))
     return pres_g, g, built
+
+
+def compose(a, b):
+    """a, then b, as maps of G."""
+    return tuple(b[h] for h in a)
+
+
+@pytest.mark.parametrize("p,n,budget", [(3, 4, 200), (3, 5, 500)])
+def test_pair_algebra_matches_the_permutations_of_g(p, n, budget):
+    # on every automorphism of G, then and power on pairs are composing and
+    # powering the maps the pairs extend to, and has_order picks the same
+    # order-p and maximal-order candidates as the maps' cycle lengths
+    cfg = CaseStudyConfig(p, n, order_budget=budget)
+    pres_g = metacyclic_presentation(cfg)
+    g = metacyclic.build_group(cfg, pres_g)
+    algebra = metacyclic._PairAlgebra(g)
+    identity = tuple(range(g.order()))
+    assert map_of(g, algebra.identity) == identity
+    pairs = [aut.key() for aut in oracle.bf_automorphism_group(pres_g, g)]
+    maps = {pair: map_of(g, pair) for pair in pairs}
+    rng = random.Random(p * 100 + n)
+    max_order = (p - 1) * p ** (n - 2)
+    orders = {p: [], max_order: []}
+    for pair in pairs:
+        mine = maps[pair]
+        for other in rng.sample(pairs, 3):
+            product = algebra.then(pair, other)
+            assert map_of(g, product) == compose(mine, maps[other])
+            assert product == pair_of(g, compose(mine, maps[other]))
+        expected = identity
+        for k in range(2 * p + 1):
+            assert map_of(g, algebra.power(pair, k)) == expected
+            expected = compose(expected, mine)
+        order = perm_order(mine)
+        assert algebra.power(pair, order) == algebra.identity
+        assert algebra.power(pair, cfg.aut_order - 1) == pair_of(
+            g, sorted(identity, key=mine.__getitem__)  # the inverse map
+        )
+        assert algebra.has_order(pair, order)
+        for m, found in orders.items():
+            if algebra.has_order(pair, m):
+                found.append(pair)
+    assert orders[p] == [pair for pair in pairs if perm_order(maps[pair]) == p]
+    assert orders[max_order] == [pair for pair in pairs if perm_order(maps[pair]) == max_order]
+    assert orders[p] and orders[max_order]
+
+
+def test_build_aut_a_maps_g_once_per_automorphism_and_six_times_for_the_tie(monkeypatch):
+    # the oracle's bijectivity test maps each of the 162 automorphisms of G
+    # once; the tie maps the triple and its inverses; no map of G is made
+    # for an order
+    cfg = CaseStudyConfig(3, 4)
+    pres_g = metacyclic_presentation(cfg)
+    g = metacyclic.build_group(cfg, pres_g)
+    algebra = metacyclic._PairAlgebra(g)
+    inner = metacyclic._inner_maps(algebra)
+    real = engines.map_images
+    maps_of_g = []
+
+    def counting(engine, images):
+        if engine is g:
+            maps_of_g.append(tuple(im.index for im in images))
+        return real(engine, images)
+
+    monkeypatch.setattr(engines, "map_images", counting)
+    a_engine, params, _, a_index = metacyclic.build_aut_A(cfg, pres_g, algebra, inner)
+    assert len(maps_of_g) == 162 + 6
+    pair_of_a = {i: pair for pair, i in a_index.items()}
+    triple = [pair_of_a[x.index] for x in (params.x1, params.x2, params.x3)]
+    inverses = [pair_of_a[a_engine.inverse(x).index] for x in (params.x1, params.x2, params.x3)]
+    assert maps_of_g[162:] == [m for pair in zip(triple, inverses) for m in pair]
 
 
 @pytest.mark.parametrize(

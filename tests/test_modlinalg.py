@@ -12,14 +12,13 @@ from centrallift.modlinalg import (
     factorize,
     primitive_roots,
     smith,
-    solve,
     units,
 )
 from linalg_oracle import laplace_det, matmul, seeded_systems
 
 
 def solve_system(matrix, rhs, modulus):
-    return solve(smith(matrix), rhs, modulus)
+    return SolvePlan(smith(matrix), modulus).solve(rhs)
 
 
 def minor_gcd_diagonal(matrix: IntMatrix):
@@ -97,19 +96,20 @@ def test_solve_parity_obstruction():
 def test_linear_system_rejects_non_positive_modulus():
     for modulus in (0, -1):
         with pytest.raises(ValueError, match="modulus must be positive"):
-            solve(smith(IntMatrix.identity(1)), (0,), modulus)
+            SolvePlan(smith(IntMatrix.identity(1)), modulus).solve((0,))
 
 
 def test_solve_rejects_a_right_hand_side_of_the_wrong_length():
     dec = smith(IntMatrix.from_rows([[1, 2], [3, 4]]))
     for rhs in ((), (0,), (0, 0, 0)):
         with pytest.raises(ValueError, match="right-hand side length must match"):
-            solve(dec, rhs, 5)
+            SolvePlan(dec, 5).solve(rhs)
 
 
 def test_plan_counts_and_solves_the_seeded_systems():
-    # one plan per (M, modulus): its count reads no solution set, and its
-    # solution set is solve's, field by field; unsolvable systems included
+    # one plan per (M, modulus): its count reads no solution set, and a
+    # second plan gives its solution set field by field; unsolvable systems
+    # included
     unsolvable = 0
     for rows, modulus, w in seeded_systems():
         matrix = IntMatrix.from_rows(rows)
@@ -119,7 +119,7 @@ def test_plan_counts_and_solves_the_seeded_systems():
             expected = brute_count(matrix, w, m)
             sol = plan.solve(w)
             assert plan.count(w) == sol.count == expected, (rows, m, w)
-            assert sol == solve(dec, w, m)  # field by field
+            assert sol == SolvePlan(dec, m).solve(w)  # field by field
             assert sol.solvable == (expected > 0)
             unsolvable += not expected
     assert unsolvable > 100
@@ -202,8 +202,8 @@ def test_solution_sets_are_kernel_cosets():
         w0 = tuple(x % modulus for x in m.mulvec(v0))
         w1 = tuple(x % modulus for x in m.mulvec(v1))
         dec = smith(m)
-        s0 = solve(dec, w0, modulus)
-        s1 = solve(dec, w1, modulus)
+        plan = SolvePlan(dec, modulus)
+        s0, s1 = plan.solve(w0), plan.solve(w1)
         assert s0.solvable and s1.solvable
         assert s0.count == s1.count
 

@@ -267,7 +267,9 @@ def case_study_groups(p, n):
     cfg = metacyclic.CaseStudyConfig(p, n, order_budget=(p - 1) * p**n)
     pres_g = metacyclic.metacyclic_presentation(cfg)
     g = metacyclic.build_group(cfg, pres_g)
-    a, _, pres_a, _ = metacyclic.build_aut_A(cfg, pres_g, g, metacyclic._inner_maps(g))
+    algebra = metacyclic._PairAlgebra(g)
+    inner = metacyclic._inner_maps(algebra)
+    a, _, pres_a, _ = metacyclic.build_aut_A(cfg, pres_g, algebra, inner)
     z_words = metacyclic._central_spec(cfg).z_words
     pres_q = Presentation(pres_a.names, z_words + pres_a.relators)
     return [(pres_g, g), (pres_a, a), (pres_q, engines.todd_coxeter(pres_q))]

@@ -1,5 +1,6 @@
-"""The package imports nothing outside the standard library, and its
-parsing modules import none of the group layers."""
+"""The package imports nothing outside the standard library, its
+parsing modules import none of the group layers, and no module imports
+another's private names."""
 
 import ast
 import sys
@@ -39,3 +40,19 @@ def test_parsing_modules_import_no_group_layer():
             if isinstance(node, ast.ImportFrom) and node.level:
                 imported.update([node.module] if node.module else [a.name for a in node.names])
         assert imported.isdisjoint({"engines", "lifting", "oracle"}), (name, imported)
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a name with a leading underscore is private to its module: another
+    # package module may reach it as module._name, but not import it
+    package = Path(centrallift.__file__).parent
+    imported = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                imported += [
+                    f"{path.name}: {node.module or '.'}.{alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert imported == []
